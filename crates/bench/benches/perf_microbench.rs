@@ -15,11 +15,6 @@
 //!
 //! `RIPPLE_BENCH_INSTRS` overrides the per-app instruction budget.
 //!
-//! The `replay_pass` scenario is additionally measured at 1 and 4 replay
-//! shards (`replay_shards` in the JSON): the set-batched replay engine
-//! partitioning L1I sets across threads, byte-identical results at every
-//! shard count.
-//!
 //! A full Ripple pipeline (train + evaluate) also runs once under a
 //! [`MetricsRecorder`], and its phase timers land in `BENCH_perf.json` as
 //! a `pipeline_phases` breakdown — each phase's share of the measured
@@ -235,7 +230,6 @@ fn bench_line_paths(_c: &mut Criterion) {
         ("trace_blocks", Value::UInt(loaded.trace.len() as u64)),
         ("samples_per_scenario", Value::UInt(u64::from(SAMPLES))),
         ("scenarios", Value::Object(scenarios)),
-        ("replay_shards", measure_sharded_replay(&loaded)),
         ("phase_throughput", phase_throughput(&loaded)),
         ("pipeline_phases", pipeline_phase_breakdown(&loaded)),
     ]);
@@ -244,44 +238,6 @@ fn bench_line_paths(_c: &mut Criterion) {
         Ok(()) => println!("  wrote {path}"),
         Err(e) => eprintln!("  could not write {path}: {e}"),
     }
-}
-
-/// The `replay_pass` scenario (Demand-MIN against an already-recorded
-/// interned session) at 1 and 4 replay shards: the same set-batched
-/// replay engine, single-threaded vs partitioning the L1I sets across
-/// four threads. Results are byte-identical at every shard count; only
-/// wall clock moves. `available_parallelism` is persisted alongside the
-/// curve: on a machine with fewer than 4 cores the 4-shard number
-/// measures oversubscription, not scaling.
-fn measure_sharded_replay(loaded: &LoadedApp) -> Value {
-    let blocks = loaded.trace.len() as u64;
-    let (oracle_cfg, _) = scenario_configs(LinePath::Interned);
-    let cores = std::thread::available_parallelism().map_or(0, usize::from) as u64;
-    println!("group: replay_shards (Demand-MIN replay, interned path, {cores} cores)");
-    let mut per_shard: Vec<(usize, f64)> = Vec::new();
-    for shards in [1usize, 4] {
-        let warm = SimSession::new(
-            &loaded.app.program,
-            &loaded.layout,
-            &loaded.trace,
-            oracle_cfg.clone().with_replay_shards(shards),
-        );
-        warm.ensure_recorded();
-        let secs = secs_per_run(|| {
-            black_box(warm.run(PolicyKind::DEMAND_MIN));
-        });
-        let bps = blocks_per_sec(blocks, secs);
-        println!("  shards={shards}: {bps:.0} blocks/s");
-        per_shard.push((shards, bps));
-    }
-    let speedup = per_shard[1].1 / per_shard[0].1;
-    println!("  4-shard speedup over 1 shard: {speedup:.2}x");
-    object([
-        ("available_parallelism", Value::UInt(cores)),
-        ("shards_1_blocks_per_sec", Value::Float(per_shard[0].1)),
-        ("shards_4_blocks_per_sec", Value::Float(per_shard[1].1)),
-        ("speedup_4_over_1", Value::Float(speedup)),
-    ])
 }
 
 /// Blocks/sec through the two historically dominant pipeline phases,

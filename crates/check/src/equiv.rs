@@ -6,7 +6,13 @@
 //! eviction stream, for every policy, prefetcher, eviction mechanism,
 //! injected program, and scripted-invalidation schedule.
 //!
-//! A second, independent oracle checks warmup accounting on the interned
+//! The interned path has a second way to run an online policy: once a
+//! session holds a captured request stream, it replays the capture
+//! instead of running the single-pass frontend. A session whose capture
+//! is forced up front must therefore match the fresh frontend run, for
+//! the same policy, byte for byte.
+//!
+//! A further, independent oracle checks warmup accounting on the interned
 //! path alone: warmup is a *stats-only* gate, so rerunning a case with
 //! `warmup_fraction = 0` must leave the eviction stream untouched and can
 //! only grow each counter. This catches warmup bugs mirrored identically
@@ -15,8 +21,8 @@
 use std::sync::Arc;
 
 use rand::{Rng, SeedableRng, StdRng};
-use ripple_obs::MetricsRecorder;
-use ripple_sim::{LinePath, PolicyKind, SimStats};
+use ripple_obs::{MetricsRecorder, NullRecorder, Recorder};
+use ripple_sim::{EvictionEvent, LinePath, PolicyKind, SimSession, SimStats, VecSink};
 
 use crate::case::{all_policies, gen_full_case, run_path, run_path_recorded, FullCase};
 use crate::shrink::{min_failing_prefix, shrink_list};
@@ -59,27 +65,66 @@ fn diff_stats(a: &SimStats, b: &SimStats) -> String {
     fields.join(", ")
 }
 
+/// One interned run on a session whose capture is forced before the
+/// run, so online policies replay the captured stream instead of running
+/// the single-pass frontend. Returns the stats, the eviction stream and
+/// the session's recording-pass count.
+fn run_captured(
+    case: &FullCase,
+    policy: PolicyKind,
+    recorder: Arc<dyn Recorder>,
+) -> (SimStats, Vec<EvictionEvent>, u32) {
+    let session = SimSession::new(
+        &case.program,
+        &case.layout,
+        &case.trace,
+        case.config.clone(),
+    )
+    .with_recorder(recorder);
+    session.ensure_recorded();
+    let mut sink = VecSink::new();
+    let stats = session.run_with_sink(policy, &mut sink);
+    (stats, sink.into_events(), session.recording_passes())
+}
+
+/// Names the first difference between two (stats, eviction stream) runs.
+fn divergence(
+    what: &str,
+    policy: PolicyKind,
+    (sa, ea): (&SimStats, &[EvictionEvent]),
+    (sb, eb): (&SimStats, &[EvictionEvent]),
+) -> Option<String> {
+    if sa != sb {
+        return Some(format!(
+            "{what} stats diverge under {policy:?}: {}",
+            diff_stats(sa, sb)
+        ));
+    }
+    if ea != eb {
+        let idx = ea
+            .iter()
+            .zip(eb.iter())
+            .position(|(a, b)| a != b)
+            .unwrap_or(ea.len().min(eb.len()));
+        return Some(format!(
+            "{what} eviction streams diverge under {policy:?} at event {idx} ({} vs {} events)",
+            ea.len(),
+            eb.len()
+        ));
+    }
+    None
+}
+
 /// The divergence test applied to one (case, policy) pair.
 fn violation(case: &FullCase, policy: PolicyKind) -> Option<String> {
     let (si, ei) = run_path(case, policy, LinePath::Interned);
     let (sr, er) = run_path(case, policy, LinePath::Reference);
-    if si != sr {
-        return Some(format!(
-            "interned and reference stats diverge under {policy:?}: {}",
-            diff_stats(&si, &sr)
-        ));
+    if let Some(message) = divergence("interned and reference", policy, (&si, &ei), (&sr, &er)) {
+        return Some(message);
     }
-    if ei != er {
-        let idx = ei
-            .iter()
-            .zip(er.iter())
-            .position(|(a, b)| a != b)
-            .unwrap_or(ei.len().min(er.len()));
-        return Some(format!(
-            "eviction streams diverge under {policy:?} at event {idx} ({} vs {} events)",
-            ei.len(),
-            er.len()
-        ));
+    let (sc, ec, _) = run_captured(case, policy, Arc::new(NullRecorder));
+    if let Some(message) = divergence("fresh and captured-replay", policy, (&si, &ei), (&sc, &ec)) {
+        return Some(message);
     }
 
     // Independent warmup oracle on the interned path.
@@ -176,7 +221,9 @@ pub fn check(seed: u64) -> Result<(), (String, String)> {
 /// [`check`] rerun with a live [`MetricsRecorder`] attached: attaching an
 /// observability recorder must leave stats and the full eviction stream
 /// byte-identical to the unrecorded run, and the recorder must actually
-/// have seen the run (at least one `session.run` phase lap).
+/// have seen the run (at least one `session.run` phase lap). The same
+/// holds for an observed session replaying its forced capture, which must
+/// also have recorded exactly once.
 pub fn check_recorded(seed: u64) -> Result<(), (String, String)> {
     let case = gen_full_case(seed);
     let policy = pick_policy(seed);
@@ -184,26 +231,33 @@ pub fn check_recorded(seed: u64) -> Result<(), (String, String)> {
     let recorder = Arc::new(MetricsRecorder::new());
     let (rec_stats, rec_events) =
         run_path_recorded(&case, policy, LinePath::Interned, recorder.clone());
-    let problem = if rec_stats != plain_stats {
-        Some(format!(
-            "recorder changed the stats under {policy:?}: {}",
-            diff_stats(&plain_stats, &rec_stats)
-        ))
-    } else if rec_events != plain_events {
-        Some(format!(
-            "recorder changed the eviction stream under {policy:?} ({} vs {} events)",
-            plain_events.len(),
-            rec_events.len()
-        ))
-    } else {
-        let snapshot = recorder.snapshot();
-        match snapshot.phase("session.run") {
-            Some(stat) if stat.count > 0 => None,
-            _ => Some(format!(
-                "recorder saw no session.run phase under {policy:?}"
-            )),
-        }
-    };
+    let plain = (&plain_stats, plain_events.as_slice());
+    let (cap_stats, cap_events, passes) =
+        run_captured(&case, policy, Arc::new(MetricsRecorder::new()));
+    let problem = divergence(
+        "unrecorded and recorded",
+        policy,
+        plain,
+        (&rec_stats, &rec_events),
+    )
+    .or_else(|| {
+        divergence(
+            "unrecorded fresh and recorded captured-replay",
+            policy,
+            plain,
+            (&cap_stats, &cap_events),
+        )
+    })
+    .or_else(|| {
+        (passes != 1)
+            .then(|| format!("captured-replay session performed {passes} recording passes"))
+    })
+    .or_else(|| match recorder.snapshot().phase("session.run") {
+        Some(stat) if stat.count > 0 => None,
+        _ => Some(format!(
+            "recorder saw no session.run phase under {policy:?}"
+        )),
+    });
     problem.map_or(Ok(()), |message| {
         let repro = format!("case: {}\npolicy: {policy:?}\n{message}", case.label);
         Err((message, repro))
@@ -219,6 +273,25 @@ mod tests {
         for seed in 0..24 {
             if let Err((msg, repro)) = check(seed) {
                 panic!("seed {seed}: {msg}\n{repro}");
+            }
+        }
+    }
+
+    #[test]
+    fn captured_replay_agrees_for_every_policy() {
+        // The fuzz check picks one policy per seed; here every registry
+        // policy replays a forced capture on a few generated cases.
+        for seed in 0..4 {
+            let case = gen_full_case(seed);
+            for policy in all_policies() {
+                let (sf, ef) = run_path(&case, policy, LinePath::Interned);
+                let (sc, ec, passes) = run_captured(&case, policy, Arc::new(NullRecorder));
+                if let Some(message) =
+                    divergence("fresh and captured-replay", policy, (&sf, &ef), (&sc, &ec))
+                {
+                    panic!("seed {seed} ({}): {message}", case.label);
+                }
+                assert_eq!(passes, 1, "seed {seed}: {policy:?}");
             }
         }
     }

@@ -574,10 +574,10 @@ mod tests {
     }
 
     #[test]
-    fn policy_matrix_is_shard_invariant() {
-        // `replay_shards` rides in on the session's SimConfig, so a whole
-        // policy matrix — threaded harness on top of sharded replay —
-        // must stay byte-identical to the single-shard single-thread run.
+    fn policy_matrix_is_capture_invariant() {
+        // Forcing the capture before the matrix makes every online policy
+        // replay it instead of running the frontend; the threaded matrix
+        // must stay byte-identical to the fresh single-thread run.
         let app = generate(&AppSpec::tiny(13));
         let layout = Layout::new(&app.program, &LayoutConfig::default());
         let trace = execute(&app.program, &app.model, InputConfig::training(13), 20_000);
@@ -587,20 +587,18 @@ mod tests {
             PolicyKind::LRU,
             PolicyKind::OPT,
             PolicyKind::DEMAND_MIN,
-            PolicyKind::DRRIP, // not set-local: must fall back unchanged
+            PolicyKind::DRRIP,
         ];
-        let base_session = SimSession::new(&app.program, &layout, &trace, cfg.clone());
-        let baseline = policy_matrix(&base_session, &policies, 1).unwrap();
-        for shards in [2usize, 4] {
-            let sharded_cfg = cfg.clone().with_replay_shards(shards);
-            let session = SimSession::new(&app.program, &layout, &trace, sharded_cfg);
-            let sharded = policy_matrix(&session, &policies, 4).unwrap();
-            assert_eq!(
-                baseline, sharded,
-                "matrix must be shard-invariant ({shards})"
-            );
-            assert_eq!(session.recording_passes(), 1);
-        }
+        let online = [PolicyKind::LRU, PolicyKind::DRRIP];
+        let fresh = SimSession::new(&app.program, &layout, &trace, cfg.clone());
+        let fresh_online = policy_matrix(&fresh, &online, 1).unwrap();
+        let baseline = policy_matrix(&fresh, &policies, 1).unwrap();
+        let captured = SimSession::new(&app.program, &layout, &trace, cfg);
+        captured.ensure_recorded();
+        let replayed = policy_matrix(&captured, &policies, 4).unwrap();
+        assert_eq!(baseline, replayed, "matrix must be capture-invariant");
+        assert_eq!(fresh_online, [replayed[0].clone(), replayed[3].clone()]);
+        assert_eq!(captured.recording_passes(), 1);
     }
 
     #[test]

@@ -271,8 +271,7 @@ fn run_point(
         )));
     }
 
-    let mut base_cfg: SimConfig = point.profile.sim_config().with_prefetcher(point.prefetcher);
-    base_cfg.replay_shards = point.replay_shards;
+    let base_cfg: SimConfig = point.profile.sim_config().with_prefetcher(point.prefetcher);
     // Line temperatures are profiled once per point: hint-driven policies
     // (TRRIP) consume them, everything else ignores the map. Ripple
     // pipelines run without the map, matching the bench path.

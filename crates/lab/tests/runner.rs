@@ -6,7 +6,7 @@ use std::sync::Arc;
 use ripple_lab::{builtin, run_experiment, validate_lab_report, LabOptions};
 
 /// The CI smoke declaration at a reduced budget, so the full grid (two
-/// profiles x fault modes x shard counts) stays test-sized.
+/// profiles x fault modes) stays test-sized.
 fn smoke_options(threads: Option<usize>) -> LabOptions {
     LabOptions {
         threads,
@@ -44,6 +44,28 @@ fn smoke_grid_runs_validates_and_renders() {
         // The LRU baseline's speedup over itself is exactly zero.
         assert_eq!(outcome.lru.speedup_pct, 0.0);
     }
+}
+
+#[test]
+fn validator_rejects_a_report_missing_a_grid_point() {
+    // The point count is the product of the coordinate axes (profiles x
+    // apps x prefetchers x fault modes); a report one point short must
+    // fail validation.
+    let resolved = builtin("lab-smoke").unwrap().resolve().unwrap();
+    let run = run_experiment(&resolved, &smoke_options(Some(2))).unwrap();
+    let mut report = run.report;
+    let ripple_json::Value::Object(members) = &mut report else {
+        panic!("a lab report is an object");
+    };
+    let (_, points) = members
+        .iter_mut()
+        .find(|(key, _)| key == "points")
+        .expect("report has points");
+    let ripple_json::Value::Array(points) = points else {
+        panic!("points is an array");
+    };
+    points.pop().expect("smoke grid has points");
+    assert!(validate_lab_report(&report).is_err());
 }
 
 #[test]

@@ -14,14 +14,13 @@
 //! oracle run. Sessions are `Sync`; one session can serve replays from many
 //! threads concurrently.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use ripple_obs::{time_phase, FieldValue, NullRecorder, PhaseTimer, Recorder};
 use ripple_program::{Layout, Program};
 use ripple_trace::{BbTrace, TraceHealth};
 
-use crate::batch::BucketedStream;
 use crate::config::{LinePath, PolicyKind, SimConfig};
 use crate::frontend::Frontend;
 use crate::intern::{FetchPlan, LineTable, PlanCache};
@@ -96,19 +95,10 @@ pub struct SimSession<'a> {
     /// Precomputed block → interned-lines fetch plan over `table`.
     plan: FetchPlan,
     recorded: OnceLock<Result<RecordedStream, StreamLimitError>>,
-    /// The recorded stream bucketed by L1I set for set-major (and sharded)
-    /// replay, built lazily on the first eligible replay; `None` when the
-    /// session's shape rules batching out (see
-    /// [`crate::batch::bucket_stream`]).
-    bucketed: OnceLock<Option<BucketedStream>>,
     /// The steady-state L3 pre-warm every columnar replay starts from,
     /// built lazily on the first replay and cloned into each run.
     l3_seed: OnceLock<crate::cache::Cache<LruPolicy>>,
     recording_passes: AtomicU32,
-    /// Set once the session has warned on stderr that a `replay_shards`
-    /// request was downgraded to sequential replay, so a policy matrix
-    /// over one session prints the note once, not once per run.
-    shard_note_emitted: AtomicBool,
     /// Observability sink; [`NullRecorder`] (the default) keeps every
     /// instrumented seam on its free path.
     recorder: Arc<dyn Recorder>,
@@ -158,10 +148,8 @@ impl<'a> SimSession<'a> {
             table,
             plan,
             recorded: OnceLock::new(),
-            bucketed: OnceLock::new(),
             l3_seed: OnceLock::new(),
             recording_passes: AtomicU32::new(0),
-            shard_note_emitted: AtomicBool::new(false),
             recorder: Arc::new(NullRecorder),
             trace_health: None,
         }
@@ -268,35 +256,12 @@ impl<'a> SimSession<'a> {
     ) -> Result<SimStats, StreamLimitError> {
         let timer = PhaseTimer::start(&*self.recorder);
         let cfg = self.config.clone().with_policy(policy);
-        let mut used_batched = false;
         let mut stats = if policy.is_offline_ideal() {
             match self.recorded()? {
                 RecordedStream::Columnar { stream, future } => {
-                    let batched = if policy.replay_set_local() {
-                        self.bucketed(stream, future)
-                    } else {
-                        None
-                    };
-                    if let Some(b) = batched {
-                        // Set-major (and, when configured, sharded) replay;
-                        // monomorphized factories for the two known oracles
-                        // so the policy callbacks inline into the hot loop.
-                        used_batched = true;
-                        let geom = cfg.l1i;
-                        let fut = b.future.clone();
-                        if policy == PolicyKind::OPT {
-                            let make = move || Box::new(OptPolicy::new(geom, fut.clone()));
-                            self.run_batched(&cfg, stream, b, &make, sink)
-                        } else if policy == PolicyKind::DEMAND_MIN {
-                            let make = move || Box::new(DemandMinPolicy::new(geom, fut.clone()));
-                            self.run_batched(&cfg, stream, b, &make, sink)
-                        } else {
-                            let make = move || build_ideal_policy(policy, geom, fut.clone());
-                            self.run_batched(&cfg, stream, b, &make, sink)
-                        }
-                    } else if policy == PolicyKind::OPT {
-                        // Sequential replay fallback, monomorphized as
-                        // above.
+                    // Monomorphized for the two known oracles so the
+                    // policy callbacks inline into the replay loop.
+                    if policy == PolicyKind::OPT {
                         let oracle = Box::new(OptPolicy::new(cfg.l1i, future.clone()));
                         self.run_replay(&cfg, oracle, stream, sink)
                     } else if policy == PolicyKind::DEMAND_MIN {
@@ -312,72 +277,18 @@ impl<'a> SimSession<'a> {
                     self.run_frontend(&cfg, oracle, false, Some(stream), sink).0
                 }
             }
+        } else if let Some(Ok(RecordedStream::Columnar { stream, .. })) = self.recorded.get() {
+            // Online policy with a capture already in hand: replay it
+            // (byte-identical to a fresh frontend pass, minus the fetch
+            // plan, predictor and filter).
+            self.run_replay(&cfg, build_policy(&cfg), stream, sink)
         } else {
-            // Online policy. Replay the capture when one is already in
-            // hand (byte-identical to a fresh frontend pass, minus the
-            // fetch plan, predictor and filter); additionally *force* a
-            // capture when sharded replay was requested and the policy
-            // permits it, since sharding only exists on the replay path.
-            let capture_ready = matches!(
-                self.recorded.get(),
-                Some(Ok(RecordedStream::Columnar { .. }))
-            );
-            let want_batched = cfg.replay_shards > 1
-                && cfg.line_path == LinePath::Interned
-                && policy.replay_set_local();
-            if capture_ready || want_batched {
-                match self.recorded() {
-                    Ok(RecordedStream::Columnar { stream, future }) => {
-                        let batched = if policy.replay_set_local() {
-                            self.bucketed(stream, future)
-                        } else {
-                            None
-                        };
-                        if let Some(b) = batched {
-                            used_batched = true;
-                            let make = || build_policy(&cfg);
-                            self.run_batched(&cfg, stream, b, &make, sink)
-                        } else {
-                            self.run_replay(&cfg, build_policy(&cfg), stream, sink)
-                        }
-                    }
-                    // Reference recordings don't replay online policies;
-                    // a failed capture falls back to the single-pass
-                    // frontend, which has no u32 position limit.
-                    Ok(RecordedStream::Reference { .. }) | Err(_) => {
-                        self.run_frontend(&cfg, build_policy(&cfg), false, None, sink)
-                            .0
-                    }
-                }
-            } else {
-                let policy = build_policy(&cfg);
-                self.run_frontend(&cfg, policy, false, None, sink).0
-            }
+            // No capture yet, a reference recording (which does not replay
+            // online policies), or a failed capture: the single-pass
+            // frontend, which has no u32 position limit.
+            self.run_frontend(&cfg, build_policy(&cfg), false, None, sink)
+                .0
         };
-        if cfg.replay_shards > 1 && !used_batched {
-            // The shard request was silently unusable for this run; say so
-            // once (stderr) and always (gauge) instead of quietly running
-            // the sequential path.
-            let reason = if !policy.replay_set_local() {
-                "the policy has no set-local replay state"
-            } else if cfg.line_path != LinePath::Interned {
-                "the reference line path has no sharded replay"
-            } else {
-                "the trace or cache geometry is ineligible for set-batched replay \
-                 (set divisibility, line-id width, or stream-size limits)"
-            };
-            if self.recorder.enabled() {
-                self.recorder
-                    .gauge("session.replay_shards_downgraded", cfg.replay_shards as f64);
-            }
-            if !self.shard_note_emitted.swap(true, Ordering::Relaxed) {
-                eprintln!(
-                    "ripple-sim: --replay-shards {} downgraded to sequential replay for {}: {reason}",
-                    cfg.replay_shards,
-                    policy.name()
-                );
-            }
-        }
         if let Some(health) = self.trace_health {
             stats.dropped_packets = health.dropped_packets;
             stats.resync_events = health.resync_events;
@@ -536,56 +447,6 @@ impl<'a> SimSession<'a> {
             .map_err(|&e| e)
     }
 
-    /// The recorded stream bucketed by L1I set, built once per session;
-    /// `None` when the session's shape rules set-batched replay out.
-    fn bucketed(
-        &self,
-        stream: &ColumnarStream,
-        future: &std::sync::Arc<FutureIndex>,
-    ) -> Option<&BucketedStream> {
-        self.bucketed
-            .get_or_init(|| {
-                time_phase(&*self.recorder, "session.bucket", || {
-                    crate::batch::bucket_stream(
-                        self.trace,
-                        stream,
-                        &self.config,
-                        &self.table,
-                        future,
-                    )
-                })
-            })
-            .as_ref()
-    }
-
-    /// Replays the bucketed stream set-major under fresh policies from
-    /// `make_policy`, sharded per `cfg.replay_shards`; byte-identical to
-    /// [`SimSession::run_replay`] (the `ripple-check` shards dimension
-    /// asserts this).
-    fn run_batched<P: ?Sized + ReplacementPolicy>(
-        &self,
-        cfg: &SimConfig,
-        stream: &ColumnarStream,
-        bucketed: &BucketedStream,
-        make_policy: &(dyn Fn() -> Box<P> + Sync),
-        sink: &mut dyn EvictionSink,
-    ) -> SimStats {
-        let l3_seed = self.l3_seed.get_or_init(|| {
-            crate::replay::prewarm_l3(self.program, &self.table, &self.plan, &self.config)
-        });
-        crate::batch::run_batched(
-            self.layout,
-            cfg,
-            &self.table,
-            bucketed,
-            stream,
-            l3_seed,
-            make_policy,
-            sink,
-            &*self.recorder,
-        )
-    }
-
     /// Replays the captured columnar stream under `l1i_policy`.
     fn run_replay<P: ?Sized + ReplacementPolicy>(
         &self,
@@ -602,7 +463,7 @@ impl<'a> SimSession<'a> {
             crate::replay::prewarm_l3(self.program, &self.table, &self.plan, &self.config)
         });
         if self.recorder.enabled() {
-            // The sequential replay clones the shared L3 seed exactly once.
+            // Each replay clones the shared L3 seed exactly once.
             self.recorder.add("session.l3_seed_clones", 1);
         }
         ReplayFrontend::new(
@@ -910,7 +771,7 @@ mod tests {
     }
 
     /// A scripted-invalidation plan over real interned lines, exercising
-    /// the inval-op bucketing path.
+    /// the replay's invalidation cursor.
     fn small_script(layout: &Layout, trace: &BbTrace) -> Vec<(u64, ripple_program::LineAddr)> {
         let table = crate::intern::LineTable::build(layout);
         let mut script: Vec<(u64, ripple_program::LineAddr)> = (0..200u64)
@@ -925,26 +786,33 @@ mod tests {
     }
 
     #[test]
-    fn batched_replay_is_byte_identical_to_fresh_frontend() {
-        // An online set-local policy runs the single-pass frontend when no
-        // capture exists, and the set-batched replay once one does. Both
-        // must produce identical stats and identical eviction streams.
+    fn replay_from_capture_is_byte_identical_to_fresh_frontend() {
+        // An online policy runs the single-pass frontend when no capture
+        // exists, and replays the capture once one does. Both must produce
+        // identical stats and identical eviction streams, for per-set and
+        // global-state policies alike.
         let (p, l, t) = small_setup();
         for pf in [PrefetcherKind::NextLine, PrefetcherKind::Fdip] {
             let mut cfg = small_cfg().with_prefetcher(pf);
             cfg.scripted_invalidations = Some(Arc::new(small_script(&l, &t)));
-            for kind in [PolicyKind::LRU, PolicyKind::TREE_PLRU, PolicyKind::SRRIP] {
+            for kind in [
+                PolicyKind::LRU,
+                PolicyKind::TREE_PLRU,
+                PolicyKind::SRRIP,
+                PolicyKind::DRRIP,
+                PolicyKind::RANDOM,
+            ] {
                 let mut frontend_sink = VecSink::new();
                 let frontend = SimSession::new(&p, &l, &t, cfg.clone())
                     .run_with_sink(kind, &mut frontend_sink);
                 let session = SimSession::new(&p, &l, &t, cfg.clone());
                 session.ensure_recorded();
-                let mut batched_sink = VecSink::new();
-                let batched = session.run_with_sink(kind, &mut batched_sink);
-                assert_eq!(frontend, batched, "{} under {}", kind.name(), pf.name());
+                let mut replay_sink = VecSink::new();
+                let replayed = session.run_with_sink(kind, &mut replay_sink);
+                assert_eq!(frontend, replayed, "{} under {}", kind.name(), pf.name());
                 assert_eq!(
                     frontend_sink.into_events(),
-                    batched_sink.into_events(),
+                    replay_sink.into_events(),
                     "{} under {}: eviction streams diverge",
                     kind.name(),
                     pf.name()
@@ -954,143 +822,92 @@ mod tests {
     }
 
     #[test]
-    fn sharded_replay_is_byte_identical_across_shard_counts() {
+    fn every_online_policy_replays_capture_without_prefetching() {
+        // Without a prefetcher the capture holds demand requests only; the
+        // replay must still match the fresh frontend for every online
+        // registry policy, learned predictors included.
         let (p, l, t) = small_setup();
-        let script = small_script(&l, &t);
-        // small_cfg's L1I has 8 sets; 7 shards exercises a ragged
-        // round-robin partition.
-        for kind in [
-            PolicyKind::LRU,
-            PolicyKind::SRRIP,
-            PolicyKind::OPT,
-            PolicyKind::DEMAND_MIN,
-        ] {
-            let run = |shards: usize| {
-                let mut cfg = small_cfg().with_prefetcher(PrefetcherKind::Fdip);
-                cfg.replay_shards = shards;
-                cfg.scripted_invalidations = Some(Arc::new(script.clone()));
-                let session = SimSession::new(&p, &l, &t, cfg);
-                session.ensure_recorded();
-                let mut sink = VecSink::new();
-                let stats = session.run_with_sink(kind, &mut sink);
-                (stats, sink.into_events())
-            };
-            let single = run(1);
-            for shards in [2, 4, 7] {
-                assert_eq!(
-                    run(shards),
-                    single,
-                    "{} diverges at {} shards",
-                    kind.name(),
-                    shards
-                );
-            }
+        let mut cfg = small_cfg();
+        cfg.scripted_invalidations = Some(Arc::new(small_script(&l, &t)));
+        let session = SimSession::new(&p, &l, &t, cfg.clone());
+        session.ensure_recorded();
+        for kind in PolicyKind::all()
+            .into_iter()
+            .filter(|k| !k.is_offline_ideal())
+        {
+            let mut frontend_sink = VecSink::new();
+            let frontend =
+                SimSession::new(&p, &l, &t, cfg.clone()).run_with_sink(kind, &mut frontend_sink);
+            let mut replay_sink = VecSink::new();
+            let replayed = session.run_with_sink(kind, &mut replay_sink);
+            assert_eq!(frontend, replayed, "{}", kind.name());
+            assert_eq!(
+                frontend_sink.into_events(),
+                replay_sink.into_events(),
+                "{}: eviction streams diverge",
+                kind.name()
+            );
         }
+        assert_eq!(session.recording_passes(), 1);
     }
 
     #[test]
-    fn non_set_local_policies_fall_back_to_sequential_replay() {
-        // DRRIP's global PSEL duel rules set-major order out; with a
-        // capture in hand (and even with shards configured) it must still
-        // match the fresh frontend pass — via the sequential replay.
-        let (p, l, t) = small_setup();
-        let mut cfg = small_cfg().with_prefetcher(PrefetcherKind::NextLine);
-        cfg.replay_shards = 4;
-        for kind in [PolicyKind::DRRIP, PolicyKind::RANDOM] {
-            let frontend = SimSession::new(
-                &p,
-                &l,
-                &t,
-                SimConfig {
-                    replay_shards: 1,
-                    ..cfg.clone()
-                },
-            )
-            .run(kind);
-            let session = SimSession::new(&p, &l, &t, cfg.clone());
-            session.ensure_recorded();
-            assert_eq!(session.run(kind), frontend, "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn l3_seed_cloned_once_per_shard() {
+    fn online_policy_without_capture_runs_single_pass() {
+        // With no capture in hand an online policy runs the single-pass
+        // frontend: no recording pass, no L3 seed. Once a capture exists
+        // the same policy replays it.
         let (p, l, t) = small_setup();
         let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
-        let mut cfg = small_cfg();
-        cfg.replay_shards = 3;
-        let session = SimSession::new(&p, &l, &t, cfg).with_recorder(metrics.clone());
+        let session = SimSession::new(&p, &l, &t, small_cfg()).with_recorder(metrics.clone());
+        let fresh_lru = session.run(PolicyKind::LRU);
+        let fresh_drrip = session.run(PolicyKind::DRRIP);
+        assert_eq!(session.recording_passes(), 0);
+        assert_eq!(metrics.snapshot().counter("session.l3_seed_clones"), None);
+        session.ensure_recorded();
+        assert_eq!(session.run(PolicyKind::LRU), fresh_lru);
+        assert_eq!(session.run(PolicyKind::DRRIP), fresh_drrip);
+        assert_eq!(session.recording_passes(), 1);
+        assert_eq!(
+            metrics.snapshot().counter("session.l3_seed_clones"),
+            Some(2)
+        );
+    }
+
+    #[test]
+    fn reference_recording_does_not_replay_online_policies() {
+        // The reference path records for the offline ideals only; online
+        // policies keep the frontend and agree with the interned path.
+        let (p, l, t) = small_setup();
+        let cfg = small_cfg().with_prefetcher(PrefetcherKind::NextLine);
+        let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
+        let reference =
+            SimSession::new(&p, &l, &t, cfg.clone().with_line_path(LinePath::Reference))
+                .with_recorder(metrics.clone());
+        reference.ensure_recorded();
+        let interned = SimSession::new(&p, &l, &t, cfg);
+        for kind in [PolicyKind::LRU, PolicyKind::SRRIP, PolicyKind::DRRIP] {
+            assert_eq!(reference.run(kind), interned.run(kind), "{}", kind.name());
+        }
+        assert_eq!(reference.recording_passes(), 1);
+        assert_eq!(metrics.snapshot().counter("session.l3_seed_clones"), None);
+    }
+
+    #[test]
+    fn l3_seed_cloned_once_per_replay() {
+        let (p, l, t) = small_setup();
+        let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
+        let session = SimSession::new(&p, &l, &t, small_cfg()).with_recorder(metrics.clone());
         session.run(PolicyKind::OPT);
         assert_eq!(
             metrics.snapshot().counter("session.l3_seed_clones"),
-            Some(3),
-            "batched replay must clone the L3 seed once per shard"
+            Some(1)
         );
         session.run(PolicyKind::DEMAND_MIN);
-        assert_eq!(
-            metrics.snapshot().counter("session.l3_seed_clones"),
-            Some(6)
-        );
-        // The sequential replay fallback (non-set-local policy) clones
-        // exactly once per run.
+        // An online policy replays the capture the oracles left behind.
         session.run(PolicyKind::DRRIP);
         assert_eq!(
             metrics.snapshot().counter("session.l3_seed_clones"),
-            Some(7)
-        );
-    }
-
-    #[test]
-    fn shard_downgrade_is_reported_for_non_set_local_policy() {
-        // DRRIP cannot shard (global PSEL duel); requesting shards must
-        // surface the downgrade as a gauge instead of silently running the
-        // sequential path.
-        let (p, l, t) = small_setup();
-        let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
-        let mut cfg = small_cfg();
-        cfg.replay_shards = 4;
-        let session = SimSession::new(&p, &l, &t, cfg).with_recorder(metrics.clone());
-        session.run(PolicyKind::DRRIP);
-        assert_eq!(
-            metrics.snapshot().gauge("session.replay_shards_downgraded"),
-            Some(4.0),
-            "a non-set-local policy must report the shard downgrade"
-        );
-    }
-
-    #[test]
-    fn shard_downgrade_is_reported_when_set_divisibility_fails() {
-        // A set-local policy with an L2 whose set count is not a multiple
-        // of the L1I's (12 % 8 != 0) rules set-batched replay out; the
-        // downgrade must be reported even though the policy could shard.
-        let (p, l, t) = small_setup();
-        let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
-        let mut cfg = small_cfg();
-        cfg.replay_shards = 4;
-        cfg.l2 = crate::config::CacheGeometry::new(12 * 64, 1);
-        assert!(!cfg.l2.num_sets().is_multiple_of(cfg.l1i.num_sets()));
-        let session = SimSession::new(&p, &l, &t, cfg).with_recorder(metrics.clone());
-        session.run(PolicyKind::LRU);
-        assert_eq!(
-            metrics.snapshot().gauge("session.replay_shards_downgraded"),
-            Some(4.0),
-            "an ineligible geometry must report the shard downgrade"
-        );
-    }
-
-    #[test]
-    fn no_downgrade_gauge_when_sharding_applies() {
-        let (p, l, t) = small_setup();
-        let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
-        let mut cfg = small_cfg();
-        cfg.replay_shards = 2;
-        let session = SimSession::new(&p, &l, &t, cfg).with_recorder(metrics.clone());
-        session.run(PolicyKind::LRU);
-        session.run(PolicyKind::OPT);
-        assert_eq!(
-            metrics.snapshot().gauge("session.replay_shards_downgraded"),
-            None,
-            "an honoured shard request must not report a downgrade"
+            Some(3)
         );
     }
 

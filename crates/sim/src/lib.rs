@@ -29,7 +29,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 mod bpred;
 mod cache;
 mod config;

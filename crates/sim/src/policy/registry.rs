@@ -69,9 +69,8 @@ impl PolicyId {
         self.descriptor().needs_future_index
     }
 
-    /// Whether the policy's decisions are per-set-order-local, making it
-    /// eligible for set-batched and sharded replay (see
-    /// [`ReplacementPolicy::replay_set_local`]).
+    /// Whether the policy's state is per-set (see
+    /// [`PolicyDescriptor::set_local`]).
     pub fn replay_set_local(self) -> bool {
         self.descriptor().set_local
     }
@@ -182,10 +181,13 @@ pub struct PolicyDescriptor {
     /// simulation). Must agree with the constructor variant; the registry
     /// rejects descriptors where the two disagree.
     pub needs_future_index: bool,
-    /// Whether the policy's decisions depend only on per-set event order
-    /// ([`ReplacementPolicy::replay_set_local`]), making it eligible for
-    /// set-batched/sharded replay. Must agree with what constructed
-    /// instances report; the registry tests assert it.
+    /// Whether the policy's state is per-set: its decisions depend only
+    /// on the order of events within each set (plus, for offline ideals,
+    /// the relative order of [`FutureIndex`] distances), never on state
+    /// shared across sets such as a global PSEL duel counter, an RNG
+    /// advanced per event or a global history register. Descriptive
+    /// metadata for grouping policies; the simulator always replays in
+    /// trace order.
     pub set_local: bool,
     /// One-line description for `ripple policies`.
     pub description: &'static str,
@@ -578,38 +580,28 @@ mod tests {
     }
 
     #[test]
-    fn set_local_flag_agrees_with_constructed_instances() {
-        // The descriptor's `set_local` is what the engine consults before
-        // building a policy; it must match what the instance itself
-        // reports, for every registered policy.
-        let geom = CacheGeometry::new(4 * 64, 2);
-        let cfg = SimConfig {
-            l1i: geom,
-            ..SimConfig::default()
-        };
-        let future = FutureIndex::build(&[]);
-        for id in PolicyId::all() {
-            let d = id.descriptor();
-            let built = match d.constructor {
-                PolicyConstructor::Online(build) => build(&cfg),
-                PolicyConstructor::Offline(build) => build(geom, future.clone()),
-            };
-            assert_eq!(
-                built.replay_set_local(),
-                d.set_local,
-                "{}: descriptor set_local disagrees with instance",
-                d.name
-            );
-            assert_eq!(id.replay_set_local(), d.set_local);
-        }
-        // Spot-check the intent: recency/RRIP statics and the offline
-        // ideals are set-local; global-state policies are not.
-        assert!(PolicyId::LRU.replay_set_local());
-        assert!(PolicyId::OPT.replay_set_local());
-        assert!(PolicyId::DEMAND_MIN.replay_set_local());
-        assert!(!PolicyId::DRRIP.replay_set_local(), "global PSEL duel");
-        assert!(!PolicyId::RANDOM.replay_set_local(), "global RNG stream");
-        assert!(!PolicyId::GHRP.replay_set_local(), "global history");
+    fn set_local_flag_declares_per_set_state() {
+        // Recency/RRIP statics and the offline ideals keep per-set state;
+        // global-state policies do not.
+        let set_local = |id: PolicyId| id.descriptor().set_local;
+        assert!(set_local(PolicyId::LRU));
+        assert!(set_local(PolicyId::OPT));
+        assert!(set_local(PolicyId::DEMAND_MIN));
+        assert!(!set_local(PolicyId::DRRIP), "global PSEL duel");
+        assert!(!set_local(PolicyId::RANDOM), "global RNG stream");
+        assert!(!set_local(PolicyId::GHRP), "global history");
+    }
+
+    #[test]
+    fn set_local_family_is_recency_rrip_and_ideals() {
+        // The full per-set family, in registration order; callers that
+        // split work by this flag rely on exactly these members.
+        let names: Vec<&str> = PolicyId::all()
+            .into_iter()
+            .filter(|id| id.descriptor().set_local)
+            .map(PolicyId::name)
+            .collect();
+        assert_eq!(names, ["lru", "tree-plru", "srrip", "opt", "demand-min"]);
     }
 
     #[test]
