@@ -1,12 +1,12 @@
 //! Criterion micro-benchmarks: simulator and analysis throughput, plus
-//! the interned-vs-reference line-path comparison persisted to
-//! `BENCH_perf.json` at the repository root.
+//! the simulator-pass scenarios persisted to `BENCH_perf.json` at the
+//! repository root.
 //!
-//! The line-path scenarios measure simulated blocks per second for the
-//! frontend's hot loops under both [`LinePath`] implementations:
+//! The `sim_passes` scenarios measure simulated blocks per second for the
+//! frontend's hot loops:
 //!
-//! * `record_pass` — the shared recording pass (LRU frontend capturing
-//!   the request stream and building its future index);
+//! * `record_pass` — the shared recording pass (capturing the request
+//!   stream and building its future index);
 //! * `replay_pass` — a Demand-MIN replay against an already-recorded
 //!   session;
 //! * `online_lru` — a full single-pass online-LRU run;
@@ -30,7 +30,7 @@ use ripple_bench::{bench_budget, load_app, LoadedApp};
 use ripple_json::{object, Value};
 use ripple_obs::MetricsRecorder;
 use ripple_sim::{
-    simulate, simulate_with_sink, LinePath, PolicyKind, PolicyRegistry, PrefetcherKind, SimConfig,
+    simulate, simulate_with_sink, PolicyKind, PolicyRegistry, PrefetcherKind, SimConfig,
     SimSession, VecSink,
 };
 use ripple_workloads::App;
@@ -115,7 +115,7 @@ fn bench_analysis(c: &mut Criterion) {
     group.finish();
 }
 
-/// Timed samples per line-path scenario (one untimed warmup first).
+/// Timed samples per `sim_passes` scenario (one untimed warmup first).
 const SAMPLES: u32 = 10;
 
 /// Mean wall-clock seconds per invocation of `f`.
@@ -128,25 +128,18 @@ fn secs_per_run(mut f: impl FnMut()) -> f64 {
     start.elapsed().as_secs_f64() / f64::from(SAMPLES)
 }
 
-/// Simulated blocks per second of one scenario under one line path.
+/// Simulated blocks per second of one scenario.
 fn blocks_per_sec(trace_blocks: u64, secs: f64) -> f64 {
     trace_blocks as f64 / secs
 }
 
-fn scenario_configs(path: LinePath) -> (SimConfig, SimConfig) {
+fn measure_passes(loaded: &LoadedApp) -> [(&'static str, f64); 4] {
+    let blocks = loaded.trace.len() as u64;
     // The oracle scenarios run under NLP so the request stream contains
     // prefetches and Demand-MIN differs from OPT; the online scenario is
     // the paper's plain LRU baseline.
-    let oracle = SimConfig::default()
-        .with_prefetcher(PrefetcherKind::NextLine)
-        .with_line_path(path);
-    let online = SimConfig::default().with_line_path(path);
-    (oracle, online)
-}
-
-fn measure_path(loaded: &LoadedApp, path: LinePath) -> [(&'static str, f64); 4] {
-    let blocks = loaded.trace.len() as u64;
-    let (oracle_cfg, online_cfg) = scenario_configs(path);
+    let oracle_cfg = SimConfig::default().with_prefetcher(PrefetcherKind::NextLine);
+    let online_cfg = SimConfig::default();
 
     let record = secs_per_run(|| {
         let session = SimSession::new(
@@ -200,27 +193,17 @@ fn measure_path(loaded: &LoadedApp, path: LinePath) -> [(&'static str, f64); 4] 
     ]
 }
 
-fn bench_line_paths(_c: &mut Criterion) {
+fn bench_sim_passes(_c: &mut Criterion) {
     let budget = bench_budget();
     let loaded = load_app(App::Tomcat, budget);
-    println!("group: line_paths (Tomcat, {budget} instrs)");
-
-    let interned = measure_path(&loaded, LinePath::Interned);
-    let reference = measure_path(&loaded, LinePath::Reference);
+    println!("group: sim_passes (Tomcat, {budget} instrs)");
 
     let mut scenarios: Vec<(String, Value)> = Vec::new();
-    for (&(name, fast), &(_, slow)) in interned.iter().zip(reference.iter()) {
-        let speedup = fast / slow;
-        println!(
-            "  {name}: interned {fast:.0} blocks/s, reference {slow:.0} blocks/s ({speedup:.2}x)"
-        );
+    for (name, rate) in measure_passes(&loaded) {
+        println!("  {name}: {rate:.0} blocks/s");
         scenarios.push((
             name.to_string(),
-            object([
-                ("interned_blocks_per_sec", Value::Float(fast)),
-                ("reference_blocks_per_sec", Value::Float(slow)),
-                ("speedup", Value::Float(speedup)),
-            ]),
+            object([("blocks_per_sec", Value::Float(rate))]),
         ));
     }
 
@@ -373,5 +356,5 @@ fn pipeline_phase_breakdown(loaded: &LoadedApp) -> Value {
     ])
 }
 
-criterion_group!(benches, bench_simulator, bench_analysis, bench_line_paths);
+criterion_group!(benches, bench_simulator, bench_analysis, bench_sim_passes);
 criterion_main!(benches);

@@ -14,8 +14,8 @@ use ripple_program::{
     rewrite, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LayoutConfig, LineAddr, Program,
 };
 use ripple_sim::{
-    CacheGeometry, EvictionMechanism, LinePath, PolicyKind, PolicyRegistry, PrefetcherKind,
-    SimConfig, SimSession, Temperature, TemperatureMap, VecSink,
+    CacheGeometry, EvictionMechanism, PolicyKind, PolicyRegistry, PrefetcherKind, SimConfig,
+    SimSession, Temperature, TemperatureMap, VecSink,
 };
 use ripple_trace::BbTrace;
 use ripple_workloads::{execute, generate, AppSpec, InputConfig};
@@ -230,15 +230,18 @@ pub fn gen_full_case(seed: u64) -> FullCase {
     }
 }
 
-/// Runs `case` on the given frontend path and returns its stats and full
+/// Runs `case` on a fresh [`SimSession`] and returns its stats and full
 /// eviction stream.
 pub fn run_path(
     case: &FullCase,
     policy: PolicyKind,
-    path: LinePath,
 ) -> (ripple_sim::SimStats, Vec<ripple_sim::EvictionEvent>) {
-    let config = case.config.clone().with_line_path(path);
-    let session = SimSession::new(&case.program, &case.layout, &case.trace, config);
+    let session = SimSession::new(
+        &case.program,
+        &case.layout,
+        &case.trace,
+        case.config.clone(),
+    );
     let mut sink = VecSink::new();
     let stats = session.run_with_sink(policy, &mut sink);
     (stats, sink.into_events())
@@ -250,12 +253,15 @@ pub fn run_path(
 pub fn run_path_recorded(
     case: &FullCase,
     policy: PolicyKind,
-    path: LinePath,
     recorder: Arc<dyn ripple_obs::Recorder>,
 ) -> (ripple_sim::SimStats, Vec<ripple_sim::EvictionEvent>) {
-    let config = case.config.clone().with_line_path(path);
-    let session =
-        SimSession::new(&case.program, &case.layout, &case.trace, config).with_recorder(recorder);
+    let session = SimSession::new(
+        &case.program,
+        &case.layout,
+        &case.trace,
+        case.config.clone(),
+    )
+    .with_recorder(recorder);
     let mut sink = VecSink::new();
     let stats = session.run_with_sink(policy, &mut sink);
     (stats, sink.into_events())

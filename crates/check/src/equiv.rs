@@ -1,30 +1,31 @@
-//! Dimension 3: frontend path equivalence and warmup accounting.
+//! Dimension 3: simulator-vs-reference equivalence and warmup accounting.
 //!
-//! The simulator has two frontends — the dense interned fast path and the
-//! hash-keyed reference path — selected by [`LinePath`]. They must be
-//! observationally identical: same [`SimStats`] and the same byte-for-byte
-//! eviction stream, for every policy, prefetcher, eviction mechanism,
-//! injected program, and scripted-invalidation schedule.
+//! Every [`SimSession`] run must be observationally identical to the
+//! pre-interning oracle, [`reference::simulate`]:
+//! same [`SimStats`] and the same byte-for-byte eviction stream, for every
+//! policy, prefetcher, eviction mechanism, injected program, and
+//! scripted-invalidation schedule.
 //!
-//! The interned path has a second way to run an online policy: once a
-//! session holds a captured request stream, it replays the capture
-//! instead of running the single-pass frontend. A session whose capture
-//! is forced up front must therefore match the fresh frontend run, for
-//! the same policy, byte for byte.
+//! A session has a second way to run an online policy: once it holds a
+//! captured request stream, it replays the capture instead of running the
+//! single-pass frontend. A session whose capture is forced up front must
+//! therefore match the fresh frontend run, for the same policy, byte for
+//! byte.
 //!
-//! A further, independent oracle checks warmup accounting on the interned
-//! path alone: warmup is a *stats-only* gate, so rerunning a case with
+//! A further, independent oracle checks warmup accounting on the session
+//! alone: warmup is a *stats-only* gate, so rerunning a case with
 //! `warmup_fraction = 0` must leave the eviction stream untouched and can
 //! only grow each counter. This catches warmup bugs mirrored identically
-//! in both frontends, which pure path comparison cannot see.
+//! in the simulator and the reference, which pure comparison cannot see.
 
 use std::sync::Arc;
 
 use rand::{Rng, SeedableRng, StdRng};
 use ripple_obs::{MetricsRecorder, NullRecorder, Recorder};
-use ripple_sim::{EvictionEvent, LinePath, PolicyKind, SimSession, SimStats, VecSink};
+use ripple_sim::{EvictionEvent, PolicyKind, SimSession, SimStats, VecSink};
 
 use crate::case::{all_policies, gen_full_case, run_path, run_path_recorded, FullCase};
+use crate::reference;
 use crate::shrink::{min_failing_prefix, shrink_list};
 
 /// Named u64 counters of [`SimStats`], for field-level diff messages and
@@ -65,7 +66,7 @@ fn diff_stats(a: &SimStats, b: &SimStats) -> String {
     fields.join(", ")
 }
 
-/// One interned run on a session whose capture is forced before the
+/// One run on a session whose capture is forced before the
 /// run, so online policies replay the captured stream instead of running
 /// the single-pass frontend. Returns the stats, the eviction stream and
 /// the session's recording-pass count.
@@ -117,9 +118,18 @@ fn divergence(
 
 /// The divergence test applied to one (case, policy) pair.
 fn violation(case: &FullCase, policy: PolicyKind) -> Option<String> {
-    let (si, ei) = run_path(case, policy, LinePath::Interned);
-    let (sr, er) = run_path(case, policy, LinePath::Reference);
-    if let Some(message) = divergence("interned and reference", policy, (&si, &ei), (&sr, &er)) {
+    let (si, ei) = run_path(case, policy);
+    let mut reference_sink = VecSink::new();
+    let sr = reference::simulate(
+        &case.program,
+        &case.layout,
+        &case.trace,
+        &case.config,
+        policy,
+        &mut reference_sink,
+    );
+    let er = reference_sink.into_events();
+    if let Some(message) = divergence("simulator and reference", policy, (&si, &ei), (&sr, &er)) {
         return Some(message);
     }
     let (sc, ec, _) = run_captured(case, policy, Arc::new(NullRecorder));
@@ -127,14 +137,14 @@ fn violation(case: &FullCase, policy: PolicyKind) -> Option<String> {
         return Some(message);
     }
 
-    // Independent warmup oracle on the interned path.
+    // Independent warmup oracle on the session alone.
     if case.config.warmup_fraction > 0.0 {
         let cold = {
             let mut c = case.with_script(case.script().map(<[_]>::to_vec).unwrap_or_default());
             c.config.warmup_fraction = 0.0;
             c
         };
-        let (sc, ec) = run_path(&cold, policy, LinePath::Interned);
+        let (sc, ec) = run_path(&cold, policy);
         if ec != ei {
             return Some(format!(
                 "warmup changed the eviction stream under {policy:?}: {} cold vs {} warm events",
@@ -227,10 +237,9 @@ pub fn check(seed: u64) -> Result<(), (String, String)> {
 pub fn check_recorded(seed: u64) -> Result<(), (String, String)> {
     let case = gen_full_case(seed);
     let policy = pick_policy(seed);
-    let (plain_stats, plain_events) = run_path(&case, policy, LinePath::Interned);
+    let (plain_stats, plain_events) = run_path(&case, policy);
     let recorder = Arc::new(MetricsRecorder::new());
-    let (rec_stats, rec_events) =
-        run_path_recorded(&case, policy, LinePath::Interned, recorder.clone());
+    let (rec_stats, rec_events) = run_path_recorded(&case, policy, recorder.clone());
     let plain = (&plain_stats, plain_events.as_slice());
     let (cap_stats, cap_events, passes) =
         run_captured(&case, policy, Arc::new(MetricsRecorder::new()));
@@ -284,7 +293,7 @@ mod tests {
         for seed in 0..4 {
             let case = gen_full_case(seed);
             for policy in all_policies() {
-                let (sf, ef) = run_path(&case, policy, LinePath::Interned);
+                let (sf, ef) = run_path(&case, policy);
                 let (sc, ec, passes) = run_captured(&case, policy, Arc::new(NullRecorder));
                 if let Some(message) =
                     divergence("fresh and captured-replay", policy, (&sf, &ef), (&sc, &ec))

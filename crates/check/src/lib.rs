@@ -11,9 +11,10 @@
 //! 2. [`belady`] — an exhaustive Belady search on short request streams
 //!    that lower-bounds (and, demand-only, pins exactly) the offline ideal
 //!    policies `Opt` and `DemandMin`;
-//! 3. [`equiv`] — interned vs reference frontend paths, and fresh frontend
-//!    vs captured-stream replay, on random full simulations (stats *and*
-//!    eviction streams), plus an independent warmup-accounting oracle;
+//! 3. [`equiv`] — the simulator vs the pre-interning [`reference`](mod@reference)
+//!    frontend, and fresh frontend vs captured-stream replay, on random
+//!    full simulations (stats *and* eviction streams), plus an independent
+//!    warmup-accounting oracle;
 //! 4. [`threads`] — thread-count invariance of the parallel policy matrix
 //!    and single-shot offline recording;
 //! 5. [`trace_rt`] — packet encode→decode and end-to-end trace
@@ -22,7 +23,7 @@
 //!    report documents must surface typed errors (strict) or accounted
 //!    loss (lossy), and never panic;
 //! 7. [`rewrite_eq`] — incremental relinking vs full rewrite on random
-//!    injection-plan chains, dense vs reference cue analysis on real
+//!    injection-plan chains, dense vs [`reference`](mod@reference) cue analysis on real
 //!    oracle window sets, and 1-vs-4-thread `RippleOutcome` invariance;
 //! 8. [`fleet`] — fleet shard aggregation vs a brute-force oracle:
 //!    weighted profile merging must equal physically repeating each shard
@@ -32,6 +33,9 @@
 //!    mixed-radix index decoding of the expansion, axis dedup,
 //!    JSON round trips, and (on a bounded seed subset) end-to-end
 //!    thread-count byte-determinism of the emitted lab report.
+//!
+//! The [`reference`](mod@reference) module holds the oracles the production crates no
+//! longer carry: the pre-interning frontend and the map-based cue scan.
 //!
 //! Every case derives from a single `u64` seed. Failures shrink to locally
 //! minimal repros (the vendored proptest stand-in has no shrinking, so
@@ -46,6 +50,7 @@ pub mod faults;
 pub mod fleet;
 pub mod lab;
 pub mod model_cache;
+pub mod reference;
 pub mod rewrite_eq;
 pub mod shrink;
 pub mod threads;
@@ -58,7 +63,7 @@ pub enum Dimension {
     ModelCache,
     /// Exhaustive Belady bound on the offline ideal policies.
     Belady,
-    /// Interned vs reference frontend, fresh vs captured-replay
+    /// Simulator vs reference frontend, fresh vs captured-replay
     /// equivalence + warmup oracle.
     Equivalence,
     /// Thread-count invariance of the parallel harness.

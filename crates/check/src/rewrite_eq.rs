@@ -4,10 +4,10 @@
 //! [`rewrite_incremental`] — re-laying-out only the functions whose
 //! injected prefixes changed and splicing the rest from the previous
 //! layout — and selects cues with the dense, epoch-stamped
-//! [`analyze_windows`]. Both are pure optimizations with retained
-//! reference implementations ([`rewrite`] and
-//! [`analyze_windows_reference`]); this dimension fuzzes random
-//! injection-plan chains and real oracle window sets and demands
+//! [`analyze_windows`]. Both are pure optimizations with reference
+//! implementations: the full [`rewrite`], and the original map-based cue
+//! scan kept as [`reference::analyze_choices`]. This dimension fuzzes
+//! random injection-plan chains and real oracle window sets and demands
 //! byte-identical results. A subset of cases additionally runs the full
 //! pipeline at 1 and 4 harness threads and demands an identical
 //! [`RippleOutcome`].
@@ -15,7 +15,7 @@
 //! [`RippleOutcome`]: ripple::RippleOutcome
 
 use rand::{Rng, SeedableRng, StdRng};
-use ripple::{analyze_windows, analyze_windows_reference, AnalysisConfig, WindowSink};
+use ripple::{analyze_windows, AnalysisConfig, WindowSink};
 use ripple::{Ripple, RippleConfig};
 use ripple_program::{
     rewrite, rewrite_incremental, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LayoutConfig,
@@ -27,6 +27,7 @@ use ripple_sim::{
 use ripple_trace::BbTrace;
 use ripple_workloads::{execute, generate, AppSpec, InputConfig};
 
+use crate::reference;
 use crate::shrink::{min_failing_prefix, shrink_list};
 
 /// One generated relinking case: a program, its profiled layout, a trace,
@@ -164,35 +165,25 @@ fn analysis_violation(case: &RewriteCase) -> Option<String> {
         windows.clone(),
         &analysis_cfg,
     );
-    let reference = analyze_windows_reference(
+    let reference = reference::analyze_choices(
         &rewritten.program,
         &rewritten.layout,
         &case.trace,
-        windows,
+        &windows,
         &analysis_cfg,
     );
-    if dense.windows() != reference.windows() {
+    if dense.windows() != windows.as_slice() {
         return Some("dense analysis reordered the window set".into());
     }
-    if dense.choices() != reference.choices() {
+    if dense.choices() != reference.as_slice() {
         let idx = dense
             .choices()
             .iter()
-            .zip(reference.choices().iter())
+            .zip(reference.iter())
             .position(|(a, b)| a != b)
-            .unwrap_or_else(|| dense.choices().len().min(reference.choices().len()));
+            .unwrap_or_else(|| dense.choices().len().min(reference.len()));
         return Some(format!(
             "dense and reference cue choices diverge at window {idx}"
-        ));
-    }
-    let (dense_plan, dense_cov) = dense.plan_for_threshold(case.threshold);
-    let (ref_plan, ref_cov) = reference.plan_for_threshold(case.threshold);
-    if dense_plan.injections() != ref_plan.injections() || dense_cov != ref_cov {
-        return Some(format!(
-            "plans diverge at threshold {}: {} vs {} injections",
-            case.threshold,
-            dense_plan.len(),
-            ref_plan.len()
         ));
     }
     None

@@ -63,8 +63,8 @@ mod report;
 mod threshold;
 
 pub use analysis::{
-    analyze, analyze_windows, analyze_windows_reference, Analysis, AnalysisConfig, CoverageStats,
-    CueCandidate, CueSelection, EvictionWindow, WindowChoice, WindowSink,
+    analyze, analyze_windows, Analysis, AnalysisConfig, CoverageStats, CueCandidate, CueSelection,
+    EvictionWindow, WindowChoice, WindowSink,
 };
 pub use error::{ConfigError, Error, JobError};
 pub use harness::{

@@ -21,33 +21,23 @@ use ripple_obs::{time_phase, FieldValue, NullRecorder, PhaseTimer, Recorder};
 use ripple_program::{Layout, Program};
 use ripple_trace::{BbTrace, TraceHealth};
 
-use crate::config::{LinePath, PolicyKind, SimConfig};
+use crate::config::{PolicyKind, SimConfig};
 use crate::frontend::Frontend;
 use crate::intern::{FetchPlan, LineTable, PlanCache};
 use crate::policy::{
     build_ideal_policy, build_policy, DemandMinPolicy, FutureIndex, LruPolicy, OptPolicy,
-    ReplacementPolicy, StreamRecord,
+    ReplacementPolicy,
 };
-use crate::reference::ReferenceFrontend;
 use crate::replay::{CaptureFrontend, ColumnarStream, ReplayFrontend, StreamLimitError};
 use crate::sink::{EvictionSink, NullSink};
 use crate::stats::SimStats;
 
-/// The policy-independent artifacts of a recording pass.
-enum RecordedStream {
-    /// Interned path: the bit-packed columnar capture. Every policy —
-    /// oracle or online — replays it through [`ReplayFrontend`].
-    Columnar {
-        stream: ColumnarStream,
-        future: Arc<FutureIndex>,
-    },
-    /// Reference path: the legacy materialized stream, kept verbatim as
-    /// the equivalence oracle (replays re-derive the stream and verify
-    /// against it).
-    Reference {
-        stream: Vec<StreamRecord>,
-        future: Arc<FutureIndex>,
-    },
+/// The policy-independent artifacts of a recording pass: the bit-packed
+/// columnar capture, which every policy — oracle or online — replays
+/// through [`ReplayFrontend`], and its [`FutureIndex`].
+struct RecordedStream {
+    stream: ColumnarStream,
+    future: Arc<FutureIndex>,
 }
 
 /// A reusable simulation context over one (program, layout, trace, config).
@@ -257,37 +247,38 @@ impl<'a> SimSession<'a> {
         let timer = PhaseTimer::start(&*self.recorder);
         let cfg = self.config.clone().with_policy(policy);
         let mut stats = if policy.is_offline_ideal() {
-            match self.recorded()? {
-                RecordedStream::Columnar { stream, future } => {
-                    // Monomorphized for the two known oracles so the
-                    // policy callbacks inline into the replay loop.
-                    if policy == PolicyKind::OPT {
-                        let oracle = Box::new(OptPolicy::new(cfg.l1i, future.clone()));
-                        self.run_replay(&cfg, oracle, stream, sink)
-                    } else if policy == PolicyKind::DEMAND_MIN {
-                        let oracle = Box::new(DemandMinPolicy::new(cfg.l1i, future.clone()));
-                        self.run_replay(&cfg, oracle, stream, sink)
-                    } else {
-                        let oracle = build_ideal_policy(policy, cfg.l1i, future.clone());
-                        self.run_replay(&cfg, oracle, stream, sink)
-                    }
-                }
-                RecordedStream::Reference { stream, future } => {
-                    let oracle = build_ideal_policy(policy, cfg.l1i, future.clone());
-                    self.run_frontend(&cfg, oracle, false, Some(stream), sink).0
-                }
+            let RecordedStream { stream, future } = self.recorded()?;
+            // Monomorphized for the two known oracles so the policy
+            // callbacks inline into the replay loop.
+            if policy == PolicyKind::OPT {
+                let oracle = Box::new(OptPolicy::new(cfg.l1i, future.clone()));
+                self.run_replay(&cfg, oracle, stream, sink)
+            } else if policy == PolicyKind::DEMAND_MIN {
+                let oracle = Box::new(DemandMinPolicy::new(cfg.l1i, future.clone()));
+                self.run_replay(&cfg, oracle, stream, sink)
+            } else {
+                let oracle = build_ideal_policy(policy, cfg.l1i, future.clone());
+                self.run_replay(&cfg, oracle, stream, sink)
             }
-        } else if let Some(Ok(RecordedStream::Columnar { stream, .. })) = self.recorded.get() {
+        } else if let Some(Ok(RecordedStream { stream, .. })) = self.recorded.get() {
             // Online policy with a capture already in hand: replay it
             // (byte-identical to a fresh frontend pass, minus the fetch
             // plan, predictor and filter).
             self.run_replay(&cfg, build_policy(&cfg), stream, sink)
         } else {
-            // No capture yet, a reference recording (which does not replay
-            // online policies), or a failed capture: the single-pass
+            // No capture yet, or a failed capture: the single-pass
             // frontend, which has no u32 position limit.
-            self.run_frontend(&cfg, build_policy(&cfg), false, None, sink)
-                .0
+            Frontend::new(
+                self.program,
+                self.layout,
+                &cfg,
+                &self.table,
+                &self.plan,
+                build_policy(&cfg),
+                sink,
+                &*self.recorder,
+            )
+            .run(self.trace.iter())
         };
         if let Some(health) = self.trace_health {
             stats.dropped_packets = health.dropped_packets;
@@ -311,51 +302,6 @@ impl<'a> SimSession<'a> {
             timer.finish(&*self.recorder, "session.run");
         }
         Ok(stats)
-    }
-
-    /// Runs one frontend pass, dispatching on the configured
-    /// [`LinePath`]. Both paths are byte-identical in their outputs; the
-    /// reference path exists as the equivalence oracle and performance
-    /// baseline.
-    fn run_frontend(
-        &self,
-        cfg: &SimConfig,
-        l1i_policy: Box<dyn ReplacementPolicy>,
-        record: bool,
-        verify: Option<&[StreamRecord]>,
-        sink: &mut dyn EvictionSink,
-    ) -> (SimStats, Option<Vec<StreamRecord>>) {
-        match cfg.line_path {
-            LinePath::Interned => Frontend::new(
-                self.program,
-                self.layout,
-                cfg,
-                &self.table,
-                &self.plan,
-                l1i_policy,
-                record,
-                verify,
-                sink,
-                &*self.recorder,
-            )
-            .run(self.trace.iter()),
-            LinePath::Reference => ReferenceFrontend::new(
-                self.program,
-                self.layout,
-                cfg,
-                l1i_policy,
-                record,
-                verify,
-                sink,
-                &*self.recorder,
-            )
-            .run(self.trace.iter()),
-        }
-    }
-
-    /// Statistics for the paper's *ideal I-cache* (no misses at all).
-    pub fn run_ideal_cache(&self) -> SimStats {
-        simulate_ideal_cache(self.program, self.trace, &self.config)
     }
 
     /// How many frontend recording passes this session has performed
@@ -394,54 +340,27 @@ impl<'a> SimSession<'a> {
             .get_or_init(|| {
                 self.recording_passes.fetch_add(1, Ordering::AcqRel);
                 self.recorder.add("session.recording_passes", 1);
-                match self.config.line_path {
-                    LinePath::Interned => {
-                        // The request stream never reads cache contents, so
-                        // the capture pass runs no cache model at all: one
-                        // walk through the predictor and prefetch filter,
-                        // bit-packed as it goes. A trace beyond the u32
-                        // record capacity surfaces here, at record time,
-                        // and the error is cached like a successful pass.
-                        let stream = time_phase(&*self.recorder, "session.record", || {
-                            CaptureFrontend::new(
-                                self.program,
-                                self.layout,
-                                &self.config,
-                                &self.table,
-                                &self.plan,
-                                &*self.recorder,
-                            )
-                            .run(self.trace.iter())
-                        })?;
-                        let future = time_phase(&*self.recorder, "session.future_index", || {
-                            FutureIndex::build_packed(&stream.packed, self.table.len())
-                        });
-                        Ok(RecordedStream::Columnar { stream, future })
-                    }
-                    LinePath::Reference => {
-                        // The recording policy is irrelevant to the captured
-                        // stream; LRU is the cheapest throwaway.
-                        let cfg = self.config.clone().with_policy(PolicyKind::LRU);
-                        let mut sink = NullSink;
-                        let (_, stream) = time_phase(&*self.recorder, "session.record", || {
-                            self.run_frontend(
-                                &cfg,
-                                Box::new(LruPolicy::new(cfg.l1i)),
-                                true,
-                                None,
-                                &mut sink,
-                            )
-                        });
-                        // `run_frontend` with `record = true` always returns a
-                        // stream.
-                        #[allow(clippy::expect_used)]
-                        let stream = stream.expect("recording pass returns a stream");
-                        let future = time_phase(&*self.recorder, "session.future_index", || {
-                            FutureIndex::build(&stream)
-                        });
-                        Ok(RecordedStream::Reference { stream, future })
-                    }
-                }
+                // The request stream never reads cache contents, so the
+                // capture pass runs no cache model at all: one walk through
+                // the predictor and prefetch filter, bit-packed as it goes.
+                // A trace beyond the u32 record capacity surfaces here, at
+                // record time, and the error is cached like a successful
+                // pass.
+                let stream = time_phase(&*self.recorder, "session.record", || {
+                    CaptureFrontend::new(
+                        self.program,
+                        self.layout,
+                        &self.config,
+                        &self.table,
+                        &self.plan,
+                        &*self.recorder,
+                    )
+                    .run(self.trace.iter())
+                })?;
+                let future = time_phase(&*self.recorder, "session.future_index", || {
+                    FutureIndex::build_packed(&stream.packed, self.table.len())
+                });
+                Ok(RecordedStream { stream, future })
             })
             .as_ref()
             .map_err(|&e| e)
@@ -871,25 +790,6 @@ mod tests {
             metrics.snapshot().counter("session.l3_seed_clones"),
             Some(2)
         );
-    }
-
-    #[test]
-    fn reference_recording_does_not_replay_online_policies() {
-        // The reference path records for the offline ideals only; online
-        // policies keep the frontend and agree with the interned path.
-        let (p, l, t) = small_setup();
-        let cfg = small_cfg().with_prefetcher(PrefetcherKind::NextLine);
-        let metrics = Arc::new(ripple_obs::MetricsRecorder::new());
-        let reference =
-            SimSession::new(&p, &l, &t, cfg.clone().with_line_path(LinePath::Reference))
-                .with_recorder(metrics.clone());
-        reference.ensure_recorded();
-        let interned = SimSession::new(&p, &l, &t, cfg);
-        for kind in [PolicyKind::LRU, PolicyKind::SRRIP, PolicyKind::DRRIP] {
-            assert_eq!(reference.run(kind), interned.run(kind), "{}", kind.name());
-        }
-        assert_eq!(reference.recording_passes(), 1);
-        assert_eq!(metrics.snapshot().counter("session.l3_seed_clones"), None);
     }
 
     #[test]

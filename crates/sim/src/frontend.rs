@@ -1,12 +1,14 @@
 //! The instruction-supply frontend: demand fetch, prefetching, the
 //! `invalidate` instruction, and the stall-based timing model.
 //!
-//! This is the dense fast path: every line is a [`LineId`] from the
-//! session's [`LineTable`], block footprints come from a precomputed
-//! [`FetchPlan`], and all per-line bookkeeping is flat `Vec` indexing.
-//! The retained pre-interning implementation lives in
-//! [`reference`](crate::reference) and must produce byte-identical
-//! results (the equivalence suite enforces it).
+//! Every line is a [`LineId`] from the session's [`LineTable`], block
+//! footprints come from a precomputed [`FetchPlan`], and all per-line
+//! bookkeeping is flat `Vec` indexing. This is the single-pass online
+//! frontend; captured streams replay through
+//! [`ReplayFrontend`](crate::replay::ReplayFrontend) instead. The
+//! pre-interning, hash-keyed implementation is kept as an oracle in the
+//! `ripple-check` crate, whose equivalence suite demands byte-identical
+//! results from this one.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -18,7 +20,7 @@ use crate::bpred::{BranchPredictor, Prediction};
 use crate::cache::Cache;
 use crate::config::{EvictionMechanism, PrefetcherKind, SimConfig};
 use crate::intern::{FetchPlan, LineId, LineTable};
-use crate::policy::{LruPolicy, ReplacementPolicy, StreamRecord};
+use crate::policy::{LruPolicy, ReplacementPolicy};
 use crate::sink::EvictionSink;
 use crate::stats::{EvictionEvent, SimStats};
 
@@ -54,10 +56,6 @@ pub(crate) struct Frontend<'a> {
     stats: SimStats,
     stall_cycles: f64,
     seq: u64,
-    /// When recording: the captured request stream.
-    record: Option<Vec<StreamRecord>>,
-    /// When verifying a replay: the previously captured stream.
-    verify: Option<&'a [StreamRecord]>,
     /// Observer receiving every eviction as it happens.
     sink: &'a mut dyn EvictionSink,
     /// Observability recorder; disabled recorders cost one boolean check
@@ -91,8 +89,6 @@ impl<'a> Frontend<'a> {
         table: &'a LineTable,
         plan: &'a FetchPlan,
         l1i_policy: Box<dyn ReplacementPolicy>,
-        record: bool,
-        verify: Option<&'a [StreamRecord]>,
         sink: &'a mut dyn EvictionSink,
         recorder: &'a dyn Recorder,
     ) -> Self {
@@ -126,8 +122,6 @@ impl<'a> Frontend<'a> {
             stats: SimStats::default(),
             stall_cycles: 0.0,
             seq: 0,
-            record: record.then(Vec::new),
-            verify,
             sink,
             recorder,
             last_demand_pos: vec![NO_POS; lines],
@@ -141,15 +135,12 @@ impl<'a> Frontend<'a> {
         }
     }
 
-    /// Runs the whole trace; returns (stats, request stream if recording).
+    /// Runs the whole trace and returns its statistics.
     ///
     /// The first `warmup_fraction` of the trace updates all architectural
     /// state but accumulates no statistics. Evictions stream into the sink
     /// throughout, warmup included.
-    pub(crate) fn run(
-        mut self,
-        trace: impl ExactSizeIterator<Item = BlockId>,
-    ) -> (SimStats, Option<Vec<StreamRecord>>) {
+    pub(crate) fn run(mut self, trace: impl ExactSizeIterator<Item = BlockId>) -> SimStats {
         let len = trace.len() as u64;
         self.warmup_until = (len as f64 * self.config.warmup_fraction.clamp(0.0, 0.9)) as u64;
         // Warmup/measure wall split. One short-circuited boolean per
@@ -184,7 +175,7 @@ impl<'a> Frontend<'a> {
         let total_instr = self.stats.instructions + self.stats.invalidate_instructions;
         self.stats.blocks = counted_blocks;
         self.stats.cycles = total_instr as f64 * self.config.base_cpi + self.stall_cycles;
-        (self.stats, self.record)
+        self.stats
     }
 
     #[inline]
@@ -283,28 +274,14 @@ impl<'a> Frontend<'a> {
         }
     }
 
-    fn next_seq(&mut self, id: LineId, is_prefetch: bool) -> u64 {
+    fn next_seq(&mut self) -> u64 {
         let seq = self.seq;
         self.seq += 1;
-        if let Some(rec) = &mut self.record {
-            rec.push(StreamRecord {
-                line: self.table.line(id),
-                is_prefetch,
-            });
-        }
-        if let Some(stream) = self.verify {
-            debug_assert!(
-                stream
-                    .get(seq as usize)
-                    .is_some_and(|r| r.line == self.table.line(id) && r.is_prefetch == is_prefetch),
-                "replay diverged from recorded stream at seq {seq}"
-            );
-        }
         seq
     }
 
     fn demand_access(&mut self, id: LineId, pc: Addr) {
-        let seq = self.next_seq(id, false);
+        let seq = self.next_seq();
         let counting = self.counting();
         if counting {
             self.stats.demand_accesses += 1;
@@ -357,7 +334,7 @@ impl<'a> Frontend<'a> {
         self.filter_fifo.push_back(id);
         self.in_filter[id.index()] = true;
 
-        let seq = self.next_seq(id, true);
+        let seq = self.next_seq();
         if self.counting() {
             self.stats.prefetches_issued += 1;
         }

@@ -118,12 +118,6 @@ impl LineTable {
         }
     }
 
-    /// A table interning line indexes `0..len` as themselves, for tests and
-    /// the slow-path reference (where ids must equal raw line indexes).
-    pub fn identity(len: u32) -> Self {
-        LineTable { first: 0, len }
-    }
-
     /// Number of interned lines (including the one-line prefetch margin).
     pub fn len(&self) -> u32 {
         self.len
@@ -422,16 +416,6 @@ mod tests {
             let from_layout: Vec<LineAddr> = l.lines_of_block(block).collect();
             assert_eq!(from_plan, from_layout);
         }
-    }
-
-    #[test]
-    fn identity_table_is_the_identity() {
-        let table = LineTable::identity(16);
-        assert_eq!(table.line_base(), 0);
-        let id = table.lookup(LineAddr::new(5)).unwrap();
-        assert_eq!(id, LineId::new(5));
-        assert_eq!(table.line(id), LineAddr::new(5));
-        assert_eq!(table.lookup(LineAddr::new(16)), None);
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //! * the `invalidate` instruction Ripple injects (invalidate or
 //!   LRU-demote semantics);
 //! * a dense per-layout line interner ([`LineTable`] / [`LineId`]) and
-//!   precomputed block→lines [`FetchPlan`] — the fast path through the
-//!   simulator's hot loops. The pre-interning frontend is retained behind
-//!   [`LinePath::Reference`] as an equivalence oracle and perf baseline.
+//!   precomputed block→lines [`FetchPlan`] — the one path through the
+//!   simulator's hot loops. The pre-interning frontend survives only as an
+//!   equivalence oracle in the `ripple-check` crate, so this crate carries
+//!   one implementation per concept.
 //!
 //! Entry points: [`simulate`], [`simulate_with_sink`],
 //! [`simulate_ideal_cache`], [`baseline_and_ideal`], and — for policy
@@ -36,7 +37,6 @@ mod engine;
 mod frontend;
 mod intern;
 pub mod policy;
-mod reference;
 mod replay;
 mod sink;
 mod stats;
@@ -44,8 +44,7 @@ mod stats;
 pub use bpred::{BranchPredictor, Prediction};
 pub use cache::{AccessOutcome, Cache};
 pub use config::{
-    CacheGeometry, EvictionMechanism, LinePath, PrefetcherKind, SimConfig, SimConfigBuilder,
-    SimConfigError,
+    CacheGeometry, EvictionMechanism, PrefetcherKind, SimConfig, SimConfigBuilder, SimConfigError,
 };
 pub use engine::{
     baseline_and_ideal, ideal_policy_for, simulate, simulate_ideal_cache, simulate_with_sink,

@@ -1,17 +1,16 @@
-//! Byte-identical equivalence between the interned fast path and the
-//! retained reference frontend.
+//! Byte-identical equivalence between the simulator's own execution
+//! routes.
 //!
-//! The dense `LineId` representation is an internal optimization: for any
-//! (app, prefetcher, policy) combination, [`LinePath::Interned`] and
-//! [`LinePath::Reference`] must produce identical [`SimStats`] *and* an
-//! identical eviction-event stream — same victims, same positions, same
-//! `by_prefetch` flags, in the same order.
+//! An online policy either runs the single-pass frontend or, once its
+//! session holds a captured request stream, replays that capture; and a
+//! session may build its fetch plan from scratch or splice it from a
+//! previous round's [`PlanCache`](ripple_sim::PlanCache). Every route must
+//! produce identical [`SimStats`](ripple_sim::SimStats) *and* an identical
+//! eviction-event stream. (Equivalence against the pre-interning reference
+//! frontend lives with that oracle in `ripple-check`.)
 
 use ripple_program::{rewrite, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LayoutConfig};
-use ripple_sim::{
-    CacheGeometry, EvictionMechanism, LinePath, PolicyKind, PrefetcherKind, SimConfig, SimSession,
-    Temperature, TemperatureMap, VecSink,
-};
+use ripple_sim::{CacheGeometry, PolicyKind, PrefetcherKind, SimConfig, SimSession, VecSink};
 use ripple_workloads::{execute, generate, AppSpec, InputConfig};
 
 fn small_cfg(prefetcher: PrefetcherKind) -> SimConfig {
@@ -20,175 +19,6 @@ fn small_cfg(prefetcher: PrefetcherKind) -> SimConfig {
     cfg.l1i = CacheGeometry::new(1024, 2);
     cfg.prefetcher = prefetcher;
     cfg
-}
-
-#[test]
-fn interned_and_reference_paths_are_byte_identical() {
-    for seed in [11, 29] {
-        let app = generate(&AppSpec::tiny(seed));
-        let layout = Layout::new(&app.program, &LayoutConfig::default());
-        let trace = execute(
-            &app.program,
-            &app.model,
-            InputConfig::training(seed),
-            30_000,
-        );
-        for prefetcher in [PrefetcherKind::NextLine, PrefetcherKind::Fdip] {
-            for policy in [PolicyKind::LRU, PolicyKind::SRRIP, PolicyKind::DEMAND_MIN] {
-                let mut outputs = Vec::new();
-                for path in [LinePath::Interned, LinePath::Reference] {
-                    let cfg = small_cfg(prefetcher).with_line_path(path);
-                    let session = SimSession::new(&app.program, &layout, &trace, cfg);
-                    let mut sink = VecSink::new();
-                    let stats = session.run_with_sink(policy, &mut sink);
-                    outputs.push((stats, sink.into_events()));
-                }
-                let (fast, reference) = (&outputs[0], &outputs[1]);
-                assert_eq!(
-                    fast.0,
-                    reference.0,
-                    "stats diverged: seed {seed}, {}, {}",
-                    prefetcher.name(),
-                    policy.name()
-                );
-                assert_eq!(
-                    fast.1,
-                    reference.1,
-                    "eviction stream diverged: seed {seed}, {}, {}",
-                    prefetcher.name(),
-                    policy.name()
-                );
-                assert!(
-                    !fast.1.is_empty(),
-                    "equivalence must be over a non-trivial run"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn trrip_paths_are_byte_identical_under_a_profile() {
-    // TRRIP is the only policy whose decisions read the profiled
-    // temperature map, so its hint path crosses the interned/reference
-    // boundary nowhere else in this file. Cycle every line through
-    // hot/warm/cold (plus unprofiled gaps) and demand identical stats and
-    // eviction streams on both frontends.
-    for seed in [13, 41] {
-        let app = generate(&AppSpec::tiny(seed));
-        let layout = Layout::new(&app.program, &LayoutConfig::default());
-        let trace = execute(
-            &app.program,
-            &app.model,
-            InputConfig::training(seed),
-            30_000,
-        );
-        let (lo, hi) = layout.line_bounds().expect("non-empty layout");
-        let mut temps = TemperatureMap::new();
-        for (i, line) in (lo.index()..=hi.index()).enumerate() {
-            match i % 4 {
-                0 => temps.set(ripple_program::LineAddr::new(line), Temperature::Hot),
-                1 => temps.set(ripple_program::LineAddr::new(line), Temperature::Cold),
-                2 => temps.set(ripple_program::LineAddr::new(line), Temperature::Warm),
-                _ => {} // unprofiled: defaults to warm
-            }
-        }
-        let temps = std::sync::Arc::new(temps);
-        for prefetcher in [PrefetcherKind::None, PrefetcherKind::Fdip] {
-            let mut outputs = Vec::new();
-            for path in [LinePath::Interned, LinePath::Reference] {
-                let mut cfg = small_cfg(prefetcher).with_line_path(path);
-                cfg.temperatures = Some(temps.clone());
-                let session = SimSession::new(&app.program, &layout, &trace, cfg);
-                let mut sink = VecSink::new();
-                let stats = session.run_with_sink(PolicyKind::TRRIP, &mut sink);
-                outputs.push((stats, sink.into_events()));
-            }
-            assert_eq!(
-                outputs[0],
-                outputs[1],
-                "trrip diverged: seed {seed}, {}",
-                prefetcher.name()
-            );
-            assert!(
-                !outputs[0].1.is_empty(),
-                "equivalence must be over a non-trivial run"
-            );
-        }
-    }
-}
-
-#[test]
-fn scripted_invalidations_are_path_independent() {
-    // The scripted-oracle configuration exercises the invalidation lookup
-    // (including unmapped-address fallbacks) on both paths.
-    let app = generate(&AppSpec::tiny(7));
-    let layout = Layout::new(&app.program, &LayoutConfig::default());
-    let trace = execute(&app.program, &app.model, InputConfig::training(7), 30_000);
-
-    // Record the OPT eviction schedule once, then script it.
-    let opt_cfg = small_cfg(PrefetcherKind::None).with_policy(PolicyKind::OPT);
-    let mut sink = VecSink::new();
-    let session = SimSession::new(&app.program, &layout, &trace, opt_cfg);
-    session.run_with_sink(PolicyKind::OPT, &mut sink);
-    let mut script: Vec<(u64, ripple_program::LineAddr)> = sink
-        .events()
-        .iter()
-        .map(|e| (e.evict_pos, e.victim))
-        .collect();
-    // An out-of-span line: both paths must treat it as never resident.
-    script.push((0, ripple_program::LineAddr::new(3)));
-    script.sort_unstable_by_key(|&(p, _)| p);
-
-    let mut results = Vec::new();
-    for path in [LinePath::Interned, LinePath::Reference] {
-        let mut cfg = small_cfg(PrefetcherKind::None).with_line_path(path);
-        cfg.scripted_invalidations = Some(std::sync::Arc::new(script.clone()));
-        let session = SimSession::new(&app.program, &layout, &trace, cfg);
-        let mut sink = VecSink::new();
-        let stats = session.run_with_sink(PolicyKind::LRU, &mut sink);
-        results.push((stats, sink.into_events()));
-    }
-    assert_eq!(results[0], results[1]);
-    assert!(results[0].0.invalidate_hits > 0);
-}
-
-#[test]
-fn scripted_invalidations_with_warmup_are_path_independent() {
-    // Scripted invalidations combined with a nonzero warmup exercise the
-    // stats gate on the script path in both frontends; the gate must be
-    // identical (fixing it in one path only would fail here).
-    let app = generate(&AppSpec::tiny(7));
-    let layout = Layout::new(&app.program, &LayoutConfig::default());
-    let trace = execute(&app.program, &app.model, InputConfig::training(7), 30_000);
-
-    let opt_cfg = small_cfg(PrefetcherKind::None).with_policy(PolicyKind::OPT);
-    let mut sink = VecSink::new();
-    let session = SimSession::new(&app.program, &layout, &trace, opt_cfg);
-    session.run_with_sink(PolicyKind::OPT, &mut sink);
-    let mut script: Vec<(u64, ripple_program::LineAddr)> = sink
-        .events()
-        .iter()
-        .map(|e| (e.evict_pos, e.victim))
-        .collect();
-    script.sort_unstable_by_key(|&(p, _)| p);
-    let script = std::sync::Arc::new(script);
-
-    let mut results = Vec::new();
-    for path in [LinePath::Interned, LinePath::Reference] {
-        let mut cfg = small_cfg(PrefetcherKind::NextLine).with_line_path(path);
-        cfg.warmup_fraction = 0.4;
-        cfg.scripted_invalidations = Some(script.clone());
-        let session = SimSession::new(&app.program, &layout, &trace, cfg);
-        let mut sink = VecSink::new();
-        let stats = session.run_with_sink(PolicyKind::LRU, &mut sink);
-        results.push((stats, sink.into_events()));
-    }
-    assert_eq!(results[0], results[1]);
-    // The warmup prefix contains script entries, so the counted hits are a
-    // strict subset of the schedule.
-    assert!(results[0].0.invalidate_hits > 0);
-    assert!((results[0].0.invalidate_hits as usize) < script.len());
 }
 
 #[test]
@@ -287,52 +117,5 @@ fn spliced_fetch_plans_match_full_builds_after_rewrite() {
         let cached_stats = cached.run_with_sink(policy, &mut cached_sink);
         assert_eq!(fresh_stats, cached_stats, "{} diverged", policy.name());
         assert_eq!(fresh_sink.into_events(), cached_sink.into_events());
-    }
-}
-
-#[test]
-fn eviction_mechanisms_are_path_independent_on_injected_programs() {
-    // Injected invalidate instructions are the only way the Demote/NoOp
-    // mechanisms act; rewrite the program with a manual plan so both paths
-    // execute them (previously only the default mechanism crossed the
-    // interned/reference boundary in tests).
-    let app = generate(&AppSpec::tiny(11));
-    let base_layout = Layout::new(&app.program, &LayoutConfig::default());
-    let trace = execute(&app.program, &app.model, InputConfig::training(11), 30_000);
-
-    // Cue a handful of blocks to invalidate the first line of their
-    // neighbours; rewrite() preserves BlockIds so the trace stays valid.
-    let n = app.program.num_blocks() as u32;
-    let mut plan = InjectionPlan::new();
-    for i in 0..n.min(6) {
-        plan.push(Injection {
-            cue: BlockId::new(i),
-            victim: CodeLoc::new(BlockId::new((i + 1) % n), 0),
-        });
-    }
-    let rewritten = rewrite(&app.program, &base_layout, &plan);
-
-    for mechanism in [
-        EvictionMechanism::Invalidate,
-        EvictionMechanism::Demote,
-        EvictionMechanism::NoOp,
-    ] {
-        let mut results = Vec::new();
-        for path in [LinePath::Interned, LinePath::Reference] {
-            let mut cfg = small_cfg(PrefetcherKind::NextLine).with_line_path(path);
-            cfg.eviction_mechanism = mechanism;
-            let session = SimSession::new(&rewritten.program, &rewritten.layout, &trace, cfg);
-            let mut sink = VecSink::new();
-            let stats = session.run_with_sink(PolicyKind::LRU, &mut sink);
-            results.push((stats, sink.into_events()));
-        }
-        assert_eq!(results[0], results[1], "{mechanism:?} diverged");
-        assert!(results[0].0.invalidate_instructions > 0);
-        match mechanism {
-            EvictionMechanism::Invalidate | EvictionMechanism::Demote => {
-                assert!(results[0].0.invalidate_hits > 0, "{mechanism:?} never hit")
-            }
-            EvictionMechanism::NoOp => assert_eq!(results[0].0.invalidate_hits, 0),
-        }
     }
 }
