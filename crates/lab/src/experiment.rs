@@ -45,8 +45,8 @@ impl FaultMode {
 }
 
 /// Expansion token in a `policies` list: every registered online policy
-/// except the LRU baseline, in registration order (the bench's
-/// `prior_policies` set — a newly registered policy joins the experiment
+/// except the LRU baseline, in registration order (the paper figures'
+/// prior policies — a newly registered policy joins the experiment
 /// without editing the declaration).
 pub const TOKEN_PRIORS: &str = "@priors";
 

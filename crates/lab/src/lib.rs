@@ -19,8 +19,8 @@
 //! one-line edit to a declaration, not a new binary.
 //!
 //! The checked-in declarations re-express the per-figure benches; the
-//! remaining bench binaries are thin wrappers that run a declaration and
-//! assert the paper's headline shapes over the typed [`LabRun`].
+//! figure benches run a declaration and check the paper's headline shapes
+//! over the typed [`LabRun`].
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]

@@ -147,12 +147,16 @@ impl LabRun {
         profile: &str,
         app: &str,
         prefetcher: PrefetcherKind,
+        fault: FaultMode,
     ) -> Option<&PointOutcome> {
         self.points
             .iter()
             .zip(&self.outcomes)
             .find(|(p, _)| {
-                p.profile.name == profile && p.app.name() == app && p.prefetcher == prefetcher
+                p.profile.name == profile
+                    && p.app.name() == app
+                    && p.prefetcher == prefetcher
+                    && p.fault == fault
             })
             .map(|(_, o)| o)
     }

@@ -88,17 +88,6 @@ impl TargetProfile {
         cfg.mem_latency = mem;
         cfg
     }
-
-    /// A short stable fingerprint of the machine model, embedded in
-    /// cached artifacts (e.g. the bench grid) so a cache computed for one
-    /// geometry is never served for another.
-    pub fn fingerprint(&self) -> String {
-        let (l1i, l2, l3, mem) = self.latencies;
-        format!(
-            "l1i={}x{} l2={}x{} l3={}x{} lat={l1i}/{l2}/{l3}/{mem}",
-            self.l1i.0, self.l1i.1, self.l2.0, self.l2.1, self.l3.0, self.l3.1,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -128,13 +117,5 @@ mod tests {
         assert_eq!(cfg.l3, default.l3);
         assert_eq!(cfg.l1i_latency, default.l1i_latency);
         assert_eq!(cfg.mem_latency, default.mem_latency);
-    }
-
-    #[test]
-    fn fingerprints_distinguish_profiles() {
-        let f: Vec<String> = TARGET_PROFILES.iter().map(|p| p.fingerprint()).collect();
-        assert_ne!(f[0], f[1]);
-        assert_ne!(f[1], f[2]);
-        assert_ne!(f[0], f[2]);
     }
 }

@@ -1,30 +1,106 @@
-//! Pins the lab path to the legacy bench path: a declarative experiment
+//! Pins the lab path to an independent oracle: a declarative experiment
 //! over (app, prefetcher, policies, Ripple underlyings) must produce the
-//! same figures as `ripple_bench::compute_cell`, which the per-figure
-//! benches consumed for nine PRs. Exact equality is expected — both
-//! paths drive the same deterministic simulator over the same trace.
+//! same figures as the measurement written out directly against the
+//! harness — `policy_matrix`, `simulate_ideal_cache`, `Ripple::train` +
+//! `evaluate` at a fixed threshold, and a first-best [`sweep`] scan for
+//! tuning. Exact equality is expected: both paths drive the same
+//! deterministic simulator over the same trace.
 
-use ripple_bench::{compute_cell, load_app};
-use ripple_lab::{run_experiment, Experiment, LabOptions};
-use ripple_sim::PrefetcherKind;
-use ripple_workloads::App;
+use std::sync::Arc;
+
+use ripple::{
+    collect_profile, effective_threads, policy_matrix, profile_temperatures, sweep, Ripple,
+    RippleConfig,
+};
+use ripple_lab::{run_experiment, Experiment, FaultMode, LabOptions, PointRow, TargetProfile};
+use ripple_program::{Layout, LayoutConfig};
+use ripple_sim::{
+    simulate_ideal_cache, PolicyKind, PolicyRegistry, PrefetcherKind, SimConfig, SimSession,
+    SimStats,
+};
+use ripple_trace::BbTrace;
+use ripple_workloads::{generate, App, Application, InputConfig};
 
 const BUDGET: u64 = 60_000;
 const THRESHOLD: f64 = 0.55;
+const CANDIDATE_THRESHOLDS: [f64; 3] = [0.45, 0.55, 0.65];
 
-fn close(label: &str, lab: f64, legacy: f64) {
+struct Loaded {
+    app: Application,
+    layout: Layout,
+    trace: BbTrace,
+}
+
+fn load(app: App) -> Loaded {
+    let generated = generate(&app.spec());
+    let layout = Layout::new(&generated.program, &LayoutConfig::default());
+    let input = InputConfig::training(app.spec().seed);
+    let profile = collect_profile(&generated, &layout, input, BUDGET).unwrap();
+    Loaded {
+        app: generated,
+        layout,
+        trace: profile.trace,
+    }
+}
+
+fn sim_config(prefetcher: PrefetcherKind) -> SimConfig {
+    let paper = TargetProfile::find("paper").unwrap();
+    paper.sim_config().with_prefetcher(prefetcher)
+}
+
+fn row(stats: &SimStats, lru: &SimStats) -> PointRow {
+    PointRow {
+        speedup_pct: stats.speedup_pct_over(lru),
+        mpki: stats.mpki(),
+        miss_reduction_pct: stats.miss_reduction_pct_over(lru),
+        demand_misses: stats.demand_misses,
+    }
+}
+
+fn close(label: &str, lab: f64, oracle: f64) {
     assert!(
-        (lab - legacy).abs() < 1e-9,
-        "{label}: lab {lab} != legacy bench {legacy}"
+        (lab - oracle).abs() < 1e-9,
+        "{label}: lab {lab} != oracle {oracle}"
+    );
+}
+
+fn same_row(label: &str, lab: &PointRow, oracle: &PointRow) {
+    assert_eq!(
+        lab.demand_misses, oracle.demand_misses,
+        "{label} demand misses"
+    );
+    close(
+        &format!("{label} speedup"),
+        lab.speedup_pct,
+        oracle.speedup_pct,
+    );
+    close(&format!("{label} mpki"), lab.mpki, oracle.mpki);
+    close(
+        &format!("{label} miss reduction"),
+        lab.miss_reduction_pct,
+        oracle.miss_reduction_pct,
     );
 }
 
 #[test]
-fn lab_grid_point_matches_legacy_compute_cell() {
-    // Legacy path: the bench crate's cell for (tomcat, nlp) at a fixed
-    // threshold (tuning is a separate concern, pinned by its own rule).
-    let loaded = load_app(App::Tomcat, BUDGET);
-    let cell = compute_cell(&loaded, PrefetcherKind::NextLine, THRESHOLD);
+fn lab_grid_point_matches_the_direct_measurement() {
+    // Oracle: (tomcat, nlp) at a fixed threshold, measured directly.
+    // Tuning is a separate concern, pinned by its own rule below.
+    let loaded = load(App::Tomcat);
+    let (program, layout, trace) = (&loaded.app.program, &loaded.layout, &loaded.trace);
+    let mut cfg = sim_config(PrefetcherKind::NextLine);
+    cfg.temperatures = Some(Arc::new(profile_temperatures(layout, trace)));
+    let priors: Vec<PolicyKind> = PolicyRegistry::global()
+        .online()
+        .filter(|&p| p != PolicyKind::LRU)
+        .collect();
+    let mut matrix = vec![PolicyKind::LRU];
+    matrix.extend(&priors);
+    matrix.push(PolicyKind::DEMAND_MIN);
+    let session = SimSession::new(program, layout, trace, cfg.clone());
+    let results = policy_matrix(&session, &matrix, effective_threads(None)).unwrap();
+    let lru = &results[0];
+    let ideal_cache = simulate_ideal_cache(program, trace, &cfg);
 
     // Lab path: the same measurement as a declaration.
     let decl = Experiment {
@@ -42,101 +118,92 @@ fn lab_grid_point_matches_legacy_compute_cell() {
     let resolved = decl.resolve().unwrap();
     let run = run_experiment(&resolved, &LabOptions::default()).unwrap();
     let outcome = run
-        .outcome("paper", "tomcat", PrefetcherKind::NextLine)
+        .outcome("paper", "tomcat", PrefetcherKind::NextLine, FaultMode::None)
         .unwrap();
 
     // Policy matrix rows: every prior the registry knows, plus bounds.
-    assert_eq!(outcome.lru.demand_misses, cell.lru.demand_misses);
-    close("lru mpki", outcome.lru.mpki, cell.lru.mpki);
-    close("compulsory", outcome.compulsory_mpki, cell.compulsory_mpki);
-    assert_eq!(outcome.policies.len(), cell.policies.len());
-    for (name, row) in &outcome.policies {
-        let legacy = &cell.policies[name];
-        assert_eq!(
-            row.demand_misses, legacy.demand_misses,
-            "{name} demand misses"
-        );
-        close(
-            &format!("{name} speedup"),
-            row.speedup_pct,
-            legacy.speedup_pct,
-        );
-        close(&format!("{name} mpki"), row.mpki, legacy.mpki);
-        close(
-            &format!("{name} miss reduction"),
-            row.miss_reduction_pct,
-            legacy.miss_reduction_pct,
-        );
+    same_row("lru", &outcome.lru, &row(lru, lru));
+    close("compulsory", outcome.compulsory_mpki, lru.compulsory_mpki());
+    assert_eq!(outcome.policies.len(), priors.len());
+    for ((name, lab), (kind, stats)) in outcome
+        .policies
+        .iter()
+        .zip(priors.iter().zip(&results[1..]))
+    {
+        assert_eq!(name, kind.name());
+        same_row(name, lab, &row(stats, lru));
     }
-    assert_eq!(outcome.ideal.demand_misses, cell.ideal.demand_misses);
-    close(
-        "ideal speedup",
-        outcome.ideal.speedup_pct,
-        cell.ideal.speedup_pct,
-    );
-    close(
-        "ideal-cache speedup",
-        outcome.ideal_cache.speedup_pct,
-        cell.ideal_cache.speedup_pct,
-    );
+    same_row("ideal", &outcome.ideal, &row(results.last().unwrap(), lru));
+    same_row("ideal-cache", &outcome.ideal_cache, &row(&ideal_cache, lru));
 
     // Ripple pipelines: one row per underlying at the fixed threshold.
     assert_eq!(outcome.ripple.len(), 2);
-    for (row, legacy) in outcome
+    for (lab, underlying) in outcome
         .ripple
         .iter()
-        .zip([&cell.ripple_lru, &cell.ripple_random])
+        .zip([PolicyKind::LRU, PolicyKind::RANDOM])
     {
-        assert!(row.best, "single-threshold rows are trivially best");
+        let config = RippleConfig {
+            sim: sim_config(PrefetcherKind::NextLine),
+            underlying,
+            threshold: THRESHOLD,
+            ..RippleConfig::default()
+        };
+        let o = Ripple::train(program, layout, trace, config)
+            .unwrap()
+            .evaluate(trace)
+            .unwrap();
+        let label = format!("ripple-{}", underlying.name());
+        assert_eq!(lab.underlying, underlying.name());
+        assert!(lab.best, "single-threshold rows are trivially best");
+        close(&format!("{label} threshold"), lab.threshold, THRESHOLD);
+        same_row(&label, &lab.row, &row(&o.ripple, lru));
         close(
-            &format!("ripple-{} threshold", row.underlying),
-            row.threshold,
-            legacy.threshold,
+            &format!("{label} coverage"),
+            lab.coverage,
+            o.coverage.coverage(),
         );
         close(
-            &format!("ripple-{} speedup", row.underlying),
-            row.row.speedup_pct,
-            legacy.row.speedup_pct,
+            &format!("{label} accuracy"),
+            lab.accuracy,
+            o.ripple_accuracy.accuracy(),
         );
         close(
-            &format!("ripple-{} mpki", row.underlying),
-            row.row.mpki,
-            legacy.row.mpki,
+            &format!("{label} underlying accuracy"),
+            lab.underlying_accuracy,
+            o.underlying_accuracy.accuracy(),
         );
         close(
-            &format!("ripple-{} coverage", row.underlying),
-            row.coverage,
-            legacy.coverage,
+            &format!("{label} static overhead"),
+            lab.static_overhead_pct,
+            o.static_overhead_pct,
         );
         close(
-            &format!("ripple-{} accuracy", row.underlying),
-            row.accuracy,
-            legacy.accuracy,
-        );
-        close(
-            &format!("ripple-{} underlying accuracy", row.underlying),
-            row.underlying_accuracy,
-            legacy.underlying_accuracy,
-        );
-        close(
-            &format!("ripple-{} static overhead", row.underlying),
-            row.static_overhead_pct,
-            legacy.static_overhead_pct,
-        );
-        close(
-            &format!("ripple-{} dynamic overhead", row.underlying),
-            row.dynamic_overhead_pct,
-            legacy.dynamic_overhead_pct,
+            &format!("{label} dynamic overhead"),
+            lab.dynamic_overhead_pct,
+            o.dynamic_overhead_pct,
         );
     }
 }
 
 #[test]
-fn lab_threshold_tuning_matches_legacy_rule() {
-    // The legacy bench tunes by scanning TUNE_THRESHOLDS and keeping the
-    // first-best speedup; the lab marks the same winner as `best`.
-    let loaded = load_app(App::Kafka, BUDGET);
-    let tuned = ripple_bench::tune_threshold(&loaded, PrefetcherKind::None);
+fn lab_threshold_tuning_matches_a_first_best_scan() {
+    // Oracle: sweep the candidate thresholds and keep the first-best
+    // speedup, as a sequential tuning scan would; the lab marks the same
+    // winner as `best`.
+    let loaded = load(App::Kafka);
+    let config = RippleConfig {
+        sim: sim_config(PrefetcherKind::None),
+        ..RippleConfig::default()
+    };
+    let ripple = Ripple::train(&loaded.app.program, &loaded.layout, &loaded.trace, config).unwrap();
+    let points = sweep(&ripple, &loaded.trace, &CANDIDATE_THRESHOLDS).unwrap();
+    let mut tuned = (f64::NEG_INFINITY, CANDIDATE_THRESHOLDS[0]);
+    for p in &points {
+        if p.speedup_pct > tuned.0 {
+            tuned = (p.speedup_pct, p.threshold);
+        }
+    }
 
     let decl = Experiment {
         name: "tuning".into(),
@@ -147,7 +214,7 @@ fn lab_threshold_tuning_matches_legacy_rule() {
         prefetchers: vec!["none".into()],
         policies: vec![],
         ripple_underlying: vec!["lru".into()],
-        thresholds: ripple_bench::TUNE_THRESHOLDS.to_vec(),
+        thresholds: CANDIDATE_THRESHOLDS.to_vec(),
         fault_modes: vec!["none".into()],
     };
     let run = run_experiment(&decl.resolve().unwrap(), &LabOptions::default()).unwrap();
@@ -156,5 +223,5 @@ fn lab_threshold_tuning_matches_legacy_rule() {
         .iter()
         .find(|r| r.best)
         .expect("one best per underlying");
-    assert_eq!(best.threshold, tuned, "tuning rule must match the bench");
+    assert_eq!(best.threshold, tuned.1, "tuning rule must match the scan");
 }

@@ -3,7 +3,8 @@
 
 use std::sync::Arc;
 
-use ripple_lab::{builtin, run_experiment, validate_lab_report, LabOptions};
+use ripple_lab::{builtin, run_experiment, validate_lab_report, FaultMode, LabOptions};
+use ripple_sim::PrefetcherKind;
 
 /// The CI smoke declaration at a reduced budget, so the full grid (two
 /// profiles x fault modes) stays test-sized.
@@ -35,8 +36,8 @@ fn smoke_grid_runs_validates_and_renders() {
     // Fault axis: bitflip points carry loss accounting, pristine don't.
     for (point, outcome) in run.points.iter().zip(&run.outcomes) {
         match point.fault {
-            ripple_lab::FaultMode::None => assert!(outcome.trace_health.is_none()),
-            ripple_lab::FaultMode::BitFlip => {
+            FaultMode::None => assert!(outcome.trace_health.is_none()),
+            FaultMode::BitFlip => {
                 let health = outcome.trace_health.expect("bitflip point has health");
                 assert!(health.total_bytes > 0);
             }
@@ -99,4 +100,29 @@ fn recorder_observes_every_lab_phase_without_changing_the_report() {
             "phase {phase} missing from the recorder"
         );
     }
+}
+
+#[test]
+fn outcome_lookup_matches_the_fault_coordinate() {
+    // Bitflip listed first: a lookup that ignored the fault coordinate
+    // would return the faulted point for a pristine query.
+    let decl = ripple_lab::Experiment {
+        name: "fault-lookup".into(),
+        description: String::new(),
+        instructions: 30_000,
+        profiles: vec!["paper".into()],
+        apps: vec!["tomcat".into()],
+        prefetchers: vec!["none".into()],
+        policies: vec![],
+        ripple_underlying: vec![],
+        thresholds: vec![],
+        fault_modes: vec!["bitflip".into(), "none".into()],
+    };
+    let run = run_experiment(&decl.resolve().unwrap(), &smoke_options(Some(1))).unwrap();
+    let lookup = |fault| {
+        run.outcome("paper", "tomcat", PrefetcherKind::None, fault)
+            .expect("point exists")
+    };
+    assert!(lookup(FaultMode::None).trace_health.is_none());
+    assert!(lookup(FaultMode::BitFlip).trace_health.is_some());
 }
