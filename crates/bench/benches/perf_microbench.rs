@@ -9,6 +9,8 @@
 //!   stream and building its future index);
 //! * `replay_pass` — a Demand-MIN replay against an already-recorded
 //!   session;
+//! * `decode_pass` — [`reconstruct_trace`] of the recorded control-flow
+//!   trace bytes back into the block trace (the profile layer's decode);
 //! * `online_lru` — a full single-pass online-LRU run;
 //! * `full_pipeline_record_plus_demand_min` — a fresh two-pass oracle run
 //!   (recording plus Demand-MIN replay), the headline number.
@@ -33,6 +35,7 @@ use ripple_sim::{
     simulate, simulate_with_sink, PolicyKind, PolicyRegistry, PrefetcherKind, SimConfig,
     SimSession, VecSink,
 };
+use ripple_trace::{reconstruct_trace, record_trace};
 use ripple_workloads::App;
 
 fn bench_simulator(c: &mut Criterion) {
@@ -133,7 +136,7 @@ fn blocks_per_sec(trace_blocks: u64, secs: f64) -> f64 {
     trace_blocks as f64 / secs
 }
 
-fn measure_passes(loaded: &LoadedApp) -> [(&'static str, f64); 4] {
+fn measure_passes(loaded: &LoadedApp) -> [(&'static str, f64); 5] {
     let blocks = loaded.trace.len() as u64;
     // The oracle scenarios run under NLP so the request stream contains
     // prefetches and Demand-MIN differs from OPT; the online scenario is
@@ -163,6 +166,14 @@ fn measure_passes(loaded: &LoadedApp) -> [(&'static str, f64); 4] {
         black_box(warm.run(PolicyKind::DEMAND_MIN));
     });
 
+    let bytes = record_trace(&loaded.app.program, &loaded.layout, loaded.trace.iter());
+    let decode = secs_per_run(|| {
+        black_box(
+            reconstruct_trace(&loaded.app.program, &loaded.layout, &bytes)
+                .expect("a recorded trace decodes"),
+        );
+    });
+
     let online = secs_per_run(|| {
         black_box(simulate(
             &loaded.app.program,
@@ -185,6 +196,7 @@ fn measure_passes(loaded: &LoadedApp) -> [(&'static str, f64); 4] {
     [
         ("record_pass", blocks_per_sec(blocks, record)),
         ("replay_pass", blocks_per_sec(blocks, replay)),
+        ("decode_pass", blocks_per_sec(blocks, decode)),
         ("online_lru", blocks_per_sec(blocks, online)),
         (
             "full_pipeline_record_plus_demand_min",

@@ -18,7 +18,8 @@
 //! 4. [`threads`] — thread-count invariance of the parallel policy matrix
 //!    and single-shot offline recording;
 //! 5. [`trace_rt`] — packet encode→decode and end-to-end trace
-//!    record→reconstruct round trips;
+//!    record→reconstruct round trips, and the layout's address-to-block
+//!    lookup vs a linear scan;
 //! 6. [`faults`] — fault injection: randomly mutated trace bytes and
 //!    report documents must surface typed errors (strict) or accounted
 //!    loss (lossy), and never panic;
@@ -35,7 +36,8 @@
 //!    thread-count byte-determinism of the emitted lab report.
 //!
 //! The [`reference`](mod@reference) module holds the oracles the production crates no
-//! longer carry: the pre-interning frontend and the map-based cue scan.
+//! longer carry, or never carried: the pre-interning frontend, the
+//! map-based cue scan and the linear-scan address-to-block lookup.
 //!
 //! Every case derives from a single `u64` seed. Failures shrink to locally
 //! minimal repros (the vendored proptest stand-in has no shrinking, so

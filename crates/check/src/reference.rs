@@ -13,7 +13,10 @@
 //!   build [`FutureIndex::build`] over the materialized [`StreamRecord`]s,
 //!   and replay, verifying each request against the recording;
 //! * [`analyze_choices`] — the two-pass, map-based cue scan behind
-//!   [`ripple::analyze_windows`].
+//!   [`ripple::analyze_windows`];
+//! * [`loc_of_addr`] — a linear scan over every block behind the binary
+//!   search of [`Layout::loc_of_addr`] (checked by the `trace_rt`
+//!   dimension).
 //!
 //! Everything here deliberately keeps the original cost profile: the
 //! block→line mapping is re-derived from the layout on every step, the
@@ -27,7 +30,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use ripple::{AnalysisConfig, CueCandidate, EvictionWindow, WindowChoice};
-use ripple_program::{Addr, BlockId, InstKind, Layout, LineAddr, Program};
+use ripple_program::{Addr, BlockId, CodeLoc, InstKind, Layout, LineAddr, Program};
 use ripple_sim::{
     build_ideal_policy, build_policy, AccessOutcome, BranchPredictor, Cache, EvictionEvent,
     EvictionMechanism, EvictionSink, FutureIndex, LineId, LruPolicy, NullSink, PolicyKind,
@@ -564,4 +567,19 @@ pub fn analyze_choices(
         });
     }
     choices
+}
+
+/// The block containing byte `addr` and the offset into its original
+/// bytes, found by testing every block: the answer
+/// [`Layout::loc_of_addr`] must give. A byte of an injected prefix is
+/// offset 0 of its block; padding and bytes outside the text segment
+/// belong to no block.
+pub fn loc_of_addr(program: &Program, layout: &Layout, addr: Addr) -> Option<CodeLoc> {
+    (0..program.num_blocks() as u32)
+        .map(BlockId::new)
+        .find(|&b| layout.block_addr(b) <= addr && addr < layout.block_end(b))
+        .map(|b| {
+            let code_start = layout.addr_of(CodeLoc::new(b, 0));
+            CodeLoc::new(b, addr.get().saturating_sub(code_start.get()) as u32)
+        })
 }

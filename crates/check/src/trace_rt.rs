@@ -8,13 +8,28 @@
 //!   compression length of the stateful TIP/FUP encoding;
 //! * **trace level** — executing a randomized application, recording the
 //!   block trace to bytes with [`record_trace`], and reconstructing it
-//!   with [`reconstruct_trace`] must reproduce the block sequence exactly.
+//!   with [`reconstruct_trace`] must reproduce the block sequence exactly,
+//!   on the fresh layout and on a layout relinked after a random
+//!   injection plan.
+//!
+//! Under the decoder sits the address-to-block lookup
+//! [`Layout::loc_of_addr`], a binary search over the layout's stored
+//! address order. It must agree with the linear scan
+//! [`reference::loc_of_addr`] on block starts, mid-block bytes,
+//! injected-prefix bytes, function-alignment padding, the segment end and
+//! bytes below the base address, both on a fresh [`Layout::new`] and on a
+//! layout relinked by [`rewrite_incremental`], whose address order is
+//! cloned from the layout it splices.
 
 use rand::{Rng, SeedableRng, StdRng};
-use ripple_program::Addr;
+use ripple_program::{
+    rewrite, rewrite_incremental, Addr, BlockId, CodeLoc, Injection, InjectionPlan, Layout,
+    LayoutConfig, Program,
+};
 use ripple_trace::{decode_packets, reconstruct_trace, record_trace, Packet, PacketWriter};
 use ripple_workloads::{execute, generate, AppSpec, InputConfig};
 
+use crate::reference;
 use crate::shrink::{min_failing_prefix, shrink_list};
 
 const LONG_TNT_BITS: u8 = ripple_trace::LONG_TNT_BITS;
@@ -89,11 +104,7 @@ fn packet_violation(packets: &[Packet]) -> Option<String> {
     None
 }
 
-fn trace_violation(
-    program: &ripple_program::Program,
-    layout: &ripple_program::Layout,
-    blocks: &[ripple_program::BlockId],
-) -> Option<String> {
+fn trace_violation(program: &Program, layout: &Layout, blocks: &[BlockId]) -> Option<String> {
     let bytes = record_trace(program, layout, blocks.iter().copied());
     match reconstruct_trace(program, layout, &bytes) {
         Ok(rebuilt) => {
@@ -138,8 +149,7 @@ pub fn check(seed: u64) -> Result<(), (String, String)> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x007a_ce0f_u64.rotate_left(17));
     let spec = AppSpec::randomized(rng.next_u64());
     let app = generate(&spec);
-    let layout =
-        ripple_program::Layout::new(&app.program, &ripple_program::LayoutConfig::default());
+    let layout = Layout::new(&app.program, &LayoutConfig::default());
     let budget = rng.gen_range(500u64..=2000);
     let trace = execute(
         &app.program,
@@ -147,28 +157,112 @@ pub fn check(seed: u64) -> Result<(), (String, String)> {
         InputConfig::training(rng.next_u64()),
         budget,
     );
+    let label = format!("app {} (spec seed {:#x})", spec.name, spec.seed);
+
+    // Relink after a random plan through the incremental path: the
+    // previous round is the empty plan, so every cue's function is dirty
+    // and every other function is spliced.
+    let n = app.program.num_blocks() as u32;
+    let mut plan = InjectionPlan::new();
+    for _ in 0..rng.gen_range(1u32..=12) {
+        plan.push(Injection {
+            cue: BlockId::new(rng.gen_range(0..n)),
+            victim: CodeLoc::new(BlockId::new(rng.gen_range(0..n)), 0),
+        });
+    }
+    let empty = InjectionPlan::new();
+    let relinked = rewrite_incremental(
+        &app.program,
+        &layout,
+        &plan,
+        &empty,
+        rewrite(&app.program, &layout, &empty),
+    );
+
+    let relinked_label = format!("{label}, relinked after {} injections", plan.len());
+    for (program, layout, label) in [
+        (&app.program, &layout, &label),
+        (&relinked.program, &relinked.layout, &relinked_label),
+    ] {
+        if let Some(message) = lookup_violation(program, layout, &mut rng) {
+            return Err((message.clone(), format!("{label}:\n  {message}")));
+        }
+    }
     if trace.is_empty() {
         return Ok(());
     }
-    let blocks = trace.blocks();
-    if let Some(message) = trace_violation(&app.program, &layout, blocks) {
-        // Prefixes of a recorded walk are themselves recordable walks.
-        let len = min_failing_prefix(blocks.len(), |n| {
-            trace_violation(&app.program, &layout, &blocks[..n]).is_some()
-        });
-        let final_message = trace_violation(&app.program, &layout, &blocks[..len])
-            .expect("shrunk case still fails");
-        let repro = format!(
-            "app {} (spec seed {:#x}), trace shrunk {} -> {len} blocks:\n  {:?}\n  {}",
-            spec.name,
-            spec.seed,
-            blocks.len(),
-            &blocks[..len],
-            final_message,
-        );
-        return Err((message, repro));
+    check_trace(&app.program, &layout, trace.blocks(), &label)?;
+    check_trace(
+        &relinked.program,
+        &relinked.layout,
+        trace.blocks(),
+        &relinked_label,
+    )
+}
+
+/// The trace-level round trip; shrinks the block prefix on failure.
+fn check_trace(
+    program: &Program,
+    layout: &Layout,
+    blocks: &[BlockId],
+    label: &str,
+) -> Result<(), (String, String)> {
+    let Some(message) = trace_violation(program, layout, blocks) else {
+        return Ok(());
+    };
+    // Prefixes of a recorded walk are themselves recordable walks.
+    let len = min_failing_prefix(blocks.len(), |n| {
+        trace_violation(program, layout, &blocks[..n]).is_some()
+    });
+    let final_message =
+        trace_violation(program, layout, &blocks[..len]).expect("shrunk case still fails");
+    let repro = format!(
+        "{label}, trace shrunk {} -> {len} blocks:\n  {:?}\n  {}",
+        blocks.len(),
+        &blocks[..len],
+        final_message,
+    );
+    Err((message, repro))
+}
+
+/// The first address on which [`Layout::loc_of_addr`] disagrees with the
+/// linear-scan reference. Probes every block's start, a random byte of
+/// its body and of its injected prefix, a random padding byte between
+/// each pair of adjacent functions, the segment end, and bytes below the
+/// base address.
+fn lookup_violation(program: &Program, layout: &Layout, rng: &mut StdRng) -> Option<String> {
+    let base = layout.config().base_addr.get();
+    let mut probes = vec![
+        0,
+        base.saturating_sub(rng.gen_range(1u64..=4096)),
+        base.saturating_sub(1),
+        layout.end().get(),
+        layout.end().get() + 1,
+    ];
+    for b in (0..program.num_blocks() as u32).map(BlockId::new) {
+        let start = layout.block_addr(b).get();
+        let prefix = layout.addr_of(CodeLoc::new(b, 0)).get() - start;
+        probes.push(start);
+        probes.push(rng.gen_range(start..layout.block_end(b).get()));
+        if prefix > 0 {
+            probes.push(rng.gen_range(start..start + prefix));
+        }
     }
-    Ok(())
+    for pair in program.functions().windows(2) {
+        let (Some(&last), Some(&next)) = (pair[0].blocks().last(), pair[1].blocks().first()) else {
+            continue;
+        };
+        let (gap_lo, gap_hi) = (layout.block_end(last).get(), layout.block_addr(next).get());
+        if gap_lo < gap_hi {
+            probes.push(rng.gen_range(gap_lo..gap_hi));
+        }
+    }
+    probes.into_iter().map(Addr::new).find_map(|addr| {
+        let got = layout.loc_of_addr(addr);
+        let want = reference::loc_of_addr(program, layout, addr);
+        (got != want)
+            .then(|| format!("loc_of_addr({addr:?}) = {got:?}, linear scan finds {want:?}"))
+    })
 }
 
 #[cfg(test)]

@@ -62,6 +62,10 @@ pub struct Layout {
     /// Byte size of each block's injected invalidation prefix (so code
     /// locations expressed against original instructions can be resolved).
     block_prefix: Vec<u32>,
+    /// Block indices in ascending address order: functions in id order,
+    /// each function's blocks in layout order. Every block is non-empty,
+    /// so the addresses are strictly ascending.
+    by_addr: Vec<u32>,
     end: Addr,
 }
 
@@ -75,6 +79,7 @@ impl Layout {
         let mut block_addr = vec![Addr::new(0); program.num_blocks()];
         let mut block_size = vec![0u32; program.num_blocks()];
         let mut block_prefix = vec![0u32; program.num_blocks()];
+        let mut by_addr = Vec::with_capacity(program.num_blocks());
         let mut cursor = config.base_addr;
         for func in program.functions() {
             cursor = cursor.align_up(config.function_align);
@@ -84,6 +89,7 @@ impl Layout {
                 block_addr[bid.index()] = cursor;
                 block_size[bid.index()] = size;
                 block_prefix[bid.index()] = block.injected_prefix_bytes();
+                by_addr.push(bid.get());
                 cursor = cursor.wrapping_add(u64::from(size));
             }
         }
@@ -92,6 +98,7 @@ impl Layout {
             block_addr,
             block_size,
             block_prefix,
+            by_addr,
             end: cursor,
         }
     }
@@ -106,7 +113,9 @@ impl Layout {
     /// shifted wholesale when an earlier dirty function changed size —
     /// without re-measuring their blocks; dirty functions are re-measured
     /// exactly as [`Layout::new`] would. The result is byte-identical to a
-    /// from-scratch `Layout::new(program, prev.config())`.
+    /// from-scratch `Layout::new(program, prev.config())`; in particular
+    /// the address order is `prev`'s, since the functions and their blocks
+    /// are the same and shifting a function keeps its blocks' order.
     pub fn new_incremental(
         program: &Program,
         prev: &Layout,
@@ -149,6 +158,7 @@ impl Layout {
             block_addr,
             block_size,
             block_prefix,
+            by_addr: prev.by_addr.clone(),
             end: cursor,
         }
     }
@@ -200,11 +210,10 @@ impl Layout {
     pub fn footprint_lines(&self) -> u64 {
         let mut count = 0u64;
         let mut last: Option<LineAddr> = None;
-        // Blocks are laid out in ascending address order, so a linear scan
-        // with dedup against the previous line suffices.
-        let mut order: Vec<usize> = (0..self.block_addr.len()).collect();
-        order.sort_by_key(|&i| self.block_addr[i]);
-        for i in order {
+        // In ascending address order, dedup against the previous line
+        // suffices.
+        for &i in &self.by_addr {
+            let i = i as usize;
             for line in lines_spanning(self.block_addr[i], u64::from(self.block_size[i])) {
                 if last != Some(line) {
                     count += 1;
@@ -256,14 +265,12 @@ impl Layout {
     /// the offset into the block's *original* bytes.
     ///
     /// Bytes within an injected prefix report offset 0 of the same block.
+    /// One binary search over the stored address order; no allocation.
     pub fn loc_of_addr(&self, addr: Addr) -> Option<CodeLoc> {
-        // Binary search over blocks sorted by address.
-        let order = self.sorted_order();
-        let pos = order.partition_point(|&i| self.block_addr[i] <= addr);
-        if pos == 0 {
-            return None;
-        }
-        let i = order[pos - 1];
+        let pos = self
+            .by_addr
+            .partition_point(|&i| self.block_addr[i as usize] <= addr);
+        let i = self.by_addr[pos.checked_sub(1)?] as usize;
         let start = self.block_addr[i];
         let size = u64::from(self.block_size[i]);
         if addr.get() >= start.get() + size {
@@ -273,12 +280,6 @@ impl Layout {
         let raw_off = addr.get() - start.get();
         let offset = raw_off.saturating_sub(prefix) as u32;
         Some(CodeLoc::new(BlockId::new(i as u32), offset))
-    }
-
-    fn sorted_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.block_addr.len()).collect();
-        order.sort_by_key(|&i| self.block_addr[i]);
-        order
     }
 }
 

@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 use ripple_program::{
-    lines_spanning, rewrite, Addr, BlockId, CodeKind, CodeLoc, Injection, InjectionPlan,
-    Instruction, Layout, LayoutConfig, LineMapper, Program, ProgramBuilder, CACHE_LINE_BYTES,
+    lines_spanning, rewrite, rewrite_incremental, Addr, BlockId, CodeKind, CodeLoc, Injection,
+    InjectionPlan, Instruction, Layout, LayoutConfig, LineMapper, Program, ProgramBuilder,
+    CACHE_LINE_BYTES,
 };
 
 /// Strategy: a linear program of 1..=12 functions, each with 1..=8 blocks
@@ -125,6 +126,59 @@ proptest! {
             let old_line = layout.line_of(inj.victim);
             let origin = origins[&old_line];
             prop_assert_eq!(mapper.map(old_line), rw.layout.line_of(origin));
+        }
+    }
+
+    /// After an incremental relink with an arbitrary plan, `loc_of_addr`
+    /// still inverts `addr_of`, every injected-prefix byte resolves to
+    /// offset 0 of its block, padding between functions resolves to no
+    /// block, and the relinked layout (its address order included) equals
+    /// a from-scratch layout of the rewritten program.
+    #[test]
+    fn relinked_layout_lookup(
+        program in arb_program(),
+        picks in proptest::collection::vec((0usize..64, 0usize..64), 0..6),
+    ) {
+        let layout = Layout::new(&program, &LayoutConfig::default());
+        let n = program.num_blocks();
+        let mut plan = InjectionPlan::new();
+        for (cue_raw, victim_raw) in picks {
+            plan.push(Injection {
+                cue: BlockId::new((cue_raw % n) as u32),
+                victim: CodeLoc::new(BlockId::new((victim_raw % n) as u32), 0),
+            });
+        }
+        let empty = InjectionPlan::new();
+        let rw = rewrite_incremental(
+            &program,
+            &layout,
+            &plan,
+            &empty,
+            rewrite(&program, &layout, &empty),
+        );
+        let relinked = &rw.layout;
+        prop_assert_eq!(relinked, &Layout::new(&rw.program, layout.config()));
+        for block in rw.program.blocks() {
+            let start = relinked.block_addr(block.id());
+            for p in 0..block.injected_prefix_bytes() {
+                prop_assert_eq!(
+                    relinked.loc_of_addr(start.wrapping_add(u64::from(p))),
+                    Some(CodeLoc::new(block.id(), 0))
+                );
+            }
+            let mut off = 0u32;
+            for inst in block.original_instructions() {
+                let loc = CodeLoc::new(block.id(), off);
+                prop_assert_eq!(relinked.loc_of_addr(relinked.addr_of(loc)), Some(loc));
+                off += u32::from(inst.size_bytes());
+            }
+        }
+        for pair in rw.program.functions().windows(2) {
+            let gap_lo = relinked.block_end(*pair[0].blocks().last().unwrap()).get();
+            let gap_hi = relinked.block_addr(pair[1].entry()).get();
+            for a in gap_lo..gap_hi {
+                prop_assert_eq!(relinked.loc_of_addr(Addr::new(a)), None);
+            }
         }
     }
 
