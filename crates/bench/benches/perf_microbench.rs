@@ -240,9 +240,10 @@ fn bench_sim_passes(_c: &mut Criterion) {
 ///
 /// * `cue_selection` — the dense [`ripple::analyze_windows`] over the real
 ///   oracle window set of the training trace;
-/// * `final_layout` — the evaluate fixpoint (incremental relink + columnar
-///   oracle replay + dense window analysis + operand patch), taken from
-///   the `eval.final_layout` phase timer over repeated evaluates.
+/// * `final_layout` — the evaluate fixpoint (two relinks, each followed by
+///   a columnar oracle replay and a dense window analysis, then the
+///   operand patch), taken from the `eval.final_layout` phase timer over
+///   repeated evaluates.
 fn phase_throughput(loaded: &LoadedApp) -> Value {
     let blocks = loaded.trace.len() as u64;
 

@@ -23,9 +23,9 @@
 //! 6. [`faults`] — fault injection: randomly mutated trace bytes and
 //!    report documents must surface typed errors (strict) or accounted
 //!    loss (lossy), and never panic;
-//! 7. [`rewrite_eq`] — incremental relinking vs full rewrite on random
-//!    injection-plan chains, dense vs [`reference`](mod@reference) cue analysis on real
-//!    oracle window sets, and 1-vs-4-thread `RippleOutcome` invariance;
+//! 7. [`rewrite_eq`] — dense vs [`reference`](mod@reference) cue analysis
+//!    on real oracle window sets of binaries relinked after a random
+//!    injection plan, and 1-vs-4-thread `RippleOutcome` invariance;
 //! 8. [`fleet`] — fleet shard aggregation vs a brute-force oracle:
 //!    weighted profile merging must equal physically repeating each shard
 //!    `weight` times in one long trace, independent of shard order, all
@@ -74,7 +74,7 @@ pub enum Dimension {
     TraceRoundTrip,
     /// Fault injection: corrupted traces and reports never panic.
     Faults,
-    /// Incremental relink vs full rewrite + dense vs reference analysis.
+    /// Dense vs reference cue analysis on relinked binaries.
     Rewrite,
     /// Fleet shard aggregation vs the physical-repetition oracle.
     Fleet,

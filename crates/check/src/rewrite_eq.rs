@@ -1,16 +1,13 @@
-//! Dimension 7: incremental relinking and dense-analysis equivalence.
+//! Dimension 7: dense-analysis equivalence on relinked binaries.
 //!
-//! The pipeline's fixpoint loop relinks each round with
-//! [`rewrite_incremental`] — re-laying-out only the functions whose
-//! injected prefixes changed and splicing the rest from the previous
-//! layout — and selects cues with the dense, epoch-stamped
-//! [`analyze_windows`]. Both are pure optimizations with reference
-//! implementations: the full [`rewrite`], and the original map-based cue
-//! scan kept as [`reference::analyze_choices`]. This dimension fuzzes
-//! random injection-plan chains and real oracle window sets and demands
-//! byte-identical results. A subset of cases additionally runs the full
-//! pipeline at 1 and 4 harness threads and demands an identical
-//! [`RippleOutcome`].
+//! The pipeline's layout fixpoint relinks with [`rewrite`] and selects
+//! cues with the dense, epoch-stamped [`analyze_windows`]. The dense scan
+//! is a pure optimization of the original map-based cue scan, kept as
+//! [`reference::analyze_choices`]. This dimension relinks each generated
+//! program after a random injection plan, collects real oracle windows on
+//! the relinked binary, and demands byte-identical cue choices. A subset
+//! of cases additionally runs the full pipeline at 1 and 4 harness threads
+//! and demands an identical [`RippleOutcome`].
 //!
 //! [`RippleOutcome`]: ripple::RippleOutcome
 
@@ -18,8 +15,7 @@ use rand::{Rng, SeedableRng, StdRng};
 use ripple::{analyze_windows, AnalysisConfig, WindowSink};
 use ripple::{Ripple, RippleConfig};
 use ripple_program::{
-    rewrite, rewrite_incremental, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LayoutConfig,
-    Program,
+    rewrite, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LayoutConfig, Program,
 };
 use ripple_sim::{
     CacheGeometry, EvictionMechanism, PolicyKind, PrefetcherKind, SimConfig, SimSession,
@@ -28,27 +24,17 @@ use ripple_trace::BbTrace;
 use ripple_workloads::{execute, generate, AppSpec, InputConfig};
 
 use crate::reference;
-use crate::shrink::{min_failing_prefix, shrink_list};
+use crate::shrink::min_failing_prefix;
 
 /// One generated relinking case: a program, its profiled layout, a trace,
-/// and a chain of injection plans (each a mutation of its predecessor, so
-/// consecutive plans share clean functions — the splice path — while
-/// still dirtying a few).
+/// and the injection plan the program is relinked with.
 struct RewriteCase {
     label: String,
     program: Program,
     layout: Layout,
     trace: BbTrace,
-    plans: Vec<Vec<Injection>>,
+    plan: InjectionPlan,
     threshold: f64,
-}
-
-fn to_plan(injections: &[Injection]) -> InjectionPlan {
-    let mut plan = InjectionPlan::new();
-    for &inj in injections {
-        plan.push(inj);
-    }
-    plan
 }
 
 fn gen_case(seed: u64) -> RewriteCase {
@@ -68,85 +54,36 @@ fn gen_case(seed: u64) -> RewriteCase {
         budget,
     );
 
-    // A chain of 3 plans. Each successor keeps a random subset of its
-    // predecessor (possibly reordered within a block via fresh pushes),
-    // drops the rest, and adds fresh injections — the exact shape of the
-    // fixpoint loop's round-to-round plan drift.
     let n = app.program.num_blocks() as u32;
-    let mut plans: Vec<Vec<Injection>> = Vec::new();
-    let mut current: Vec<Injection> = Vec::new();
-    for _ in 0..3 {
-        let mut next: Vec<Injection> = current
-            .iter()
-            .copied()
-            .filter(|_| rng.gen_bool(0.6))
-            .collect();
-        for _ in 0..rng.gen_range(1u32..=6) {
-            next.push(Injection {
-                cue: BlockId::new(rng.gen_range(0..n)),
-                victim: CodeLoc::new(BlockId::new(rng.gen_range(0..n)), 0),
-            });
-        }
-        plans.push(next.clone());
-        current = next;
-    }
+    let plan: InjectionPlan = (0..rng.gen_range(1u32..=12))
+        .map(|_| Injection {
+            cue: BlockId::new(rng.gen_range(0..n)),
+            victim: CodeLoc::new(BlockId::new(rng.gen_range(0..n)), 0),
+        })
+        .collect();
 
     let threshold = [0.05, 0.1, 0.3, 0.5][rng.gen_range(0..4usize)];
     let label = format!(
-        "app {} (spec seed {:#x}), {} blocks traced, plan chain {:?}, threshold {threshold}",
+        "app {} (spec seed {:#x}), {} blocks traced, {} injections, threshold {threshold}",
         spec.name,
         spec.seed,
         trace.len(),
-        plans.iter().map(Vec::len).collect::<Vec<_>>(),
+        plan.len(),
     );
     RewriteCase {
         label,
         program: app.program,
         layout,
         trace,
-        plans,
+        plan,
         threshold,
     }
-}
-
-/// Incremental-vs-full relink over the case's plan chain. The incremental
-/// result is carried forward, so later rounds splice from a layout that
-/// was itself produced incrementally — divergence compounds instead of
-/// being masked.
-fn rewrite_violation(case: &RewriteCase) -> Option<String> {
-    let first = to_plan(&case.plans[0]);
-    let mut prev_plan = first.clone();
-    let mut prev = rewrite(&case.program, &case.layout, &first);
-    for (round, injections) in case.plans.iter().enumerate().skip(1) {
-        let plan = to_plan(injections);
-        let full = rewrite(&case.program, &case.layout, &plan);
-        let incr = rewrite_incremental(&case.program, &case.layout, &plan, &prev_plan, prev);
-        if incr.layout != full.layout {
-            return Some(format!(
-                "incremental relink diverged from full rewrite at round {round}: layouts differ"
-            ));
-        }
-        if incr.program != full.program {
-            return Some(format!(
-                "incremental relink diverged from full rewrite at round {round}: programs differ"
-            ));
-        }
-        if incr.mapper != full.mapper {
-            return Some(format!(
-                "incremental relink diverged from full rewrite at round {round}: mappers differ"
-            ));
-        }
-        prev_plan = plan;
-        prev = incr;
-    }
-    None
 }
 
 /// Dense-vs-reference cue analysis over a *real* oracle window set from
 /// the rewritten binary (the exact windows the fixpoint loop analyzes).
 fn analysis_violation(case: &RewriteCase) -> Option<String> {
-    let last = to_plan(case.plans.last().expect("chain is non-empty"));
-    let rewritten = rewrite(&case.program, &case.layout, &last);
+    let rewritten = rewrite(&case.program, &case.layout, &case.plan);
     let mut cfg = SimConfig::default();
     cfg.l1i = CacheGeometry::new(1024, 2);
     cfg.prefetcher = PrefetcherKind::NextLine;
@@ -190,8 +127,8 @@ fn analysis_violation(case: &RewriteCase) -> Option<String> {
 }
 
 /// Full-pipeline probe: train once, evaluate at 1 and 4 harness threads;
-/// the outcomes (which flow through incremental relinking, columnar
-/// replay, and dense analysis) must be identical.
+/// the outcomes (which flow through relinking, columnar replay, and dense
+/// analysis) must be identical.
 fn outcome_violation(case: &RewriteCase) -> Option<String> {
     let mut base = RippleConfig::default();
     base.sim.l1i = CacheGeometry::new(2 * 1024, 4);
@@ -214,55 +151,10 @@ fn outcome_violation(case: &RewriteCase) -> Option<String> {
         .then(|| "RippleOutcome differs between 1 and 4 harness threads".into())
 }
 
-/// Checks one generated case; shrinks the failing plan chain (rewrite
-/// divergence) or the trace (analysis divergence) on failure.
+/// Checks one generated case; shrinks the trace on an analysis
+/// divergence.
 pub fn check(seed: u64) -> Result<(), (String, String)> {
     let case = gen_case(seed);
-    if let Some(message) = rewrite_violation(&case) {
-        // Shrink each plan in the chain, last (the diverging rewrite's
-        // target) first, keeping the chain failing throughout.
-        let mut minimal = case;
-        for i in (0..minimal.plans.len()).rev() {
-            let plan = minimal.plans[i].clone();
-            if plan.is_empty() {
-                continue;
-            }
-            let kept = shrink_list(&plan, |entries| {
-                let mut probe = RewriteCase {
-                    label: minimal.label.clone(),
-                    program: minimal.program.clone(),
-                    layout: minimal.layout.clone(),
-                    trace: BbTrace::new(minimal.trace.blocks().to_vec()),
-                    plans: minimal.plans.clone(),
-                    threshold: minimal.threshold,
-                };
-                probe.plans[i] = entries.to_vec();
-                rewrite_violation(&probe).is_some()
-            });
-            let mut shrunk = minimal.plans.clone();
-            shrunk[i] = kept;
-            let probe = RewriteCase {
-                label: minimal.label.clone(),
-                program: minimal.program.clone(),
-                layout: minimal.layout.clone(),
-                trace: BbTrace::new(minimal.trace.blocks().to_vec()),
-                plans: shrunk,
-                threshold: minimal.threshold,
-            };
-            if rewrite_violation(&probe).is_some() {
-                minimal = probe;
-            }
-        }
-        let final_message = rewrite_violation(&minimal).expect("shrunk case still fails");
-        let repro = format!(
-            "case: {}\nplan chain shrunk to {:?}\nplans: {:?}\n{final_message}",
-            minimal.label,
-            minimal.plans.iter().map(Vec::len).collect::<Vec<_>>(),
-            minimal.plans,
-        );
-        return Err((message, repro));
-    }
-
     if let Some(message) = analysis_violation(&case) {
         let len = min_failing_prefix(case.trace.len(), |n| {
             let probe = RewriteCase {
@@ -270,7 +162,7 @@ pub fn check(seed: u64) -> Result<(), (String, String)> {
                 program: case.program.clone(),
                 layout: case.layout.clone(),
                 trace: BbTrace::new(case.trace.blocks()[..n].to_vec()),
-                plans: case.plans.clone(),
+                plan: case.plan.clone(),
                 threshold: case.threshold,
             };
             analysis_violation(&probe).is_some()
@@ -280,7 +172,7 @@ pub fn check(seed: u64) -> Result<(), (String, String)> {
             program: case.program.clone(),
             layout: case.layout.clone(),
             trace: BbTrace::new(case.trace.blocks()[..len].to_vec()),
-            plans: case.plans.clone(),
+            plan: case.plan.clone(),
             threshold: case.threshold,
         };
         let final_message = analysis_violation(&minimal).expect("shrunk case still fails");
@@ -319,11 +211,10 @@ mod tests {
 
     #[test]
     fn violation_helpers_cover_a_real_case() {
-        // The oracles must actually exercise non-trivial inputs: at least
-        // one generated case produces windows and a non-empty plan chain.
+        // The oracles must actually exercise non-trivial inputs: the
+        // generated case relinks with a non-empty plan.
         let case = gen_case(4); // seed 4 also runs the outcome probe in check()
-        assert!(case.plans.iter().any(|p| !p.is_empty()));
-        assert!(rewrite_violation(&case).is_none());
+        assert!(!case.plan.is_empty());
         assert!(analysis_violation(&case).is_none());
         assert!(outcome_violation(&case).is_none());
     }

@@ -18,13 +18,11 @@
 //! [`reference::loc_of_addr`] on block starts, mid-block bytes,
 //! injected-prefix bytes, function-alignment padding, the segment end and
 //! bytes below the base address, both on a fresh [`Layout::new`] and on a
-//! layout relinked by [`rewrite_incremental`], whose address order is
-//! cloned from the layout it splices.
+//! layout relinked by [`rewrite`].
 
 use rand::{Rng, SeedableRng, StdRng};
 use ripple_program::{
-    rewrite, rewrite_incremental, Addr, BlockId, CodeLoc, Injection, InjectionPlan, Layout,
-    LayoutConfig, Program,
+    rewrite, Addr, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LayoutConfig, Program,
 };
 use ripple_trace::{decode_packets, reconstruct_trace, record_trace, Packet, PacketWriter};
 use ripple_workloads::{execute, generate, AppSpec, InputConfig};
@@ -159,9 +157,7 @@ pub fn check(seed: u64) -> Result<(), (String, String)> {
     );
     let label = format!("app {} (spec seed {:#x})", spec.name, spec.seed);
 
-    // Relink after a random plan through the incremental path: the
-    // previous round is the empty plan, so every cue's function is dirty
-    // and every other function is spliced.
+    // Relink after a random plan.
     let n = app.program.num_blocks() as u32;
     let mut plan = InjectionPlan::new();
     for _ in 0..rng.gen_range(1u32..=12) {
@@ -170,14 +166,7 @@ pub fn check(seed: u64) -> Result<(), (String, String)> {
             victim: CodeLoc::new(BlockId::new(rng.gen_range(0..n)), 0),
         });
     }
-    let empty = InjectionPlan::new();
-    let relinked = rewrite_incremental(
-        &app.program,
-        &layout,
-        &plan,
-        &empty,
-        rewrite(&app.program, &layout, &empty),
-    );
+    let relinked = rewrite(&app.program, &layout, &plan);
 
     let relinked_label = format!("{label}, relinked after {} injections", plan.len());
     for (program, layout, label) in [

@@ -16,10 +16,10 @@
 //! panicking job never sinks its batch — the remaining jobs complete, and
 //! the failure comes back as a typed [`JobError`] carrying the batch scope,
 //! the job index and the panic message. [`run_jobs_settled`] exposes the
-//! full per-job picture; [`run_jobs`] collapses it to first-error for
-//! callers that need all results anyway. [`run_jobs_retrying`] re-runs
-//! panicking jobs a bounded number of times for workloads with transient
-//! failure modes.
+//! full per-job picture; [`run_jobs_observed`] reports each job to a
+//! recorder and collapses the batch to first-error for callers that need
+//! all results anyway. [`run_jobs_retrying`] re-runs panicking jobs a
+//! bounded number of times for workloads with transient failure modes.
 //!
 //! [`Ripple::evaluate_with_threshold`]: crate::Ripple::evaluate_with_threshold
 
@@ -33,8 +33,8 @@ use ripple_sim::{PolicyKind, SimSession, SimStats};
 
 use crate::error::JobError;
 
-/// A unit of work for [`run_jobs`]: boxed so heterogeneous closures can
-/// share one job list.
+/// A unit of work for [`run_jobs_settled`]: boxed so heterogeneous
+/// closures can share one job list.
 pub type Job<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
 
 /// A re-runnable unit of work for [`run_jobs_retrying`]: `Fn` rather than
@@ -146,21 +146,6 @@ pub fn run_jobs_settled<'env, T: Send>(
         .collect()
 }
 
-/// Runs `jobs` on up to `threads` workers and returns their results in job
-/// order, or the first (lowest-index) [`JobError`] if any job panicked.
-///
-/// The batch always runs to completion — a panicking job does not cancel
-/// its siblings — but the partial results are discarded when any job
-/// failed. Use [`run_jobs_settled`] to keep the survivors.
-pub fn run_jobs<'env, T: Send>(
-    threads: usize,
-    jobs: Vec<Job<'env, T>>,
-) -> Result<Vec<T>, JobError> {
-    run_jobs_settled(threads, "jobs", jobs)
-        .into_iter()
-        .collect()
-}
-
 /// [`run_jobs_settled`] with bounded retry: each job is attempted up to
 /// `max_attempts` times (panicked attempts are re-run from scratch), and a
 /// job that panics on every attempt reports the *last* panic with its
@@ -212,9 +197,14 @@ pub fn run_jobs_retrying<'env, T: Send + 'env>(
         .collect()
 }
 
-/// [`run_jobs`] with per-job observability: wraps every job so its claim
-/// and completion are reported to `recorder`, then runs the batch through
-/// the plain engine (scheduling is shared, not duplicated).
+/// [`run_jobs_settled`] with per-job observability, returning the results
+/// in job order or the first (lowest-index) [`JobError`]: wraps every job
+/// so its claim and completion are reported to `recorder`, then runs the
+/// batch through the plain engine (scheduling is shared, not duplicated).
+///
+/// The batch always runs to completion — a panicking job does not cancel
+/// its siblings — but the partial results are discarded when any job
+/// failed. Use [`run_jobs_settled`] to keep the survivors.
 ///
 /// Per job, a `harness.job` event carries the batch `scope`, the job
 /// index, `queue_wait_ns` (batch start → the job being claimed by a
@@ -224,30 +214,18 @@ pub fn run_jobs_retrying<'env, T: Send + 'env>(
 /// the first [`JobError`]. The whole batch is wrapped in a `harness.batch`
 /// phase with a start/finish event pair around it.
 ///
-/// With a disabled recorder this delegates straight to [`run_jobs`] —
-/// same closures, no clock reads — so observability never perturbs the
-/// job results (which stay byte-identical either way; jobs are pure).
+/// With a disabled recorder this delegates straight to
+/// [`run_jobs_settled`] — same closures, no clock reads — so observability
+/// never perturbs the job results (which stay byte-identical either way;
+/// jobs are pure).
 pub fn run_jobs_observed<'env, T: Send + 'env>(
     threads: usize,
     scope: &'env str,
     recorder: &'env dyn Recorder,
     jobs: Vec<Job<'env, T>>,
 ) -> Result<Vec<T>, JobError> {
-    run_jobs_observed_settled(threads, scope, recorder, jobs)
-        .into_iter()
-        .collect()
-}
-
-/// [`run_jobs_settled`] with the observability of [`run_jobs_observed`]:
-/// per-job outcomes, nothing collapsed.
-pub fn run_jobs_observed_settled<'env, T: Send + 'env>(
-    threads: usize,
-    scope: &'env str,
-    recorder: &'env dyn Recorder,
-    jobs: Vec<Job<'env, T>>,
-) -> Vec<Result<T, JobError>> {
     if !recorder.enabled() {
-        return run_jobs_settled(threads, scope, jobs);
+        return run_jobs_settled(threads, scope, jobs).into_iter().collect();
     }
     let n = jobs.len();
     recorder.event(
@@ -297,7 +275,7 @@ pub fn run_jobs_observed_settled<'env, T: Send + 'env>(
         }
     }
     recorder.phase("harness.batch", batch_start.elapsed().as_nanos() as u64);
-    results
+    results.into_iter().collect()
 }
 
 /// Evaluates each policy of a matrix against one [`SimSession`], in
@@ -353,12 +331,20 @@ mod tests {
         out
     }
 
+    /// Runs a batch that must not panic and unwraps every slot.
+    fn run_all<T: Send>(threads: usize, jobs: Vec<Job<'_, T>>) -> Vec<T> {
+        run_jobs_settled(threads, "test", jobs)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect()
+    }
+
     #[test]
     fn results_come_back_in_job_order() {
         let jobs: Vec<Job<'_, usize>> = (0..32)
             .map(|i| -> Job<'_, usize> { Box::new(move || i * i) })
             .collect();
-        let out = run_jobs(4, jobs).unwrap();
+        let out = run_all(4, jobs);
         assert_eq!(out, (0..32).map(|i| i * i).collect::<Vec<_>>());
     }
 
@@ -370,7 +356,7 @@ mod tests {
         let par: Vec<Job<'_, u64>> = (0..17)
             .map(|i: u64| -> Job<'_, u64> { Box::new(move || i.wrapping_mul(0x9e37)) })
             .collect();
-        assert_eq!(run_jobs(1, seq).unwrap(), run_jobs(8, par).unwrap());
+        assert_eq!(run_all(1, seq), run_all(8, par));
     }
 
     #[test]
@@ -393,10 +379,7 @@ mod tests {
                 .collect()
         };
         assert_eq!(effective_threads(Some(1000)), 1000);
-        assert_eq!(
-            run_jobs(1000, make()).unwrap(),
-            run_jobs(1, make()).unwrap()
-        );
+        assert_eq!(run_all(1000, make()), run_all(1, make()));
     }
 
     #[test]
@@ -431,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn run_jobs_reports_the_first_error() {
+    fn observed_batch_reports_the_first_error() {
         let jobs: Vec<Job<'_, u32>> = (0..6)
             .map(|i| -> Job<'_, u32> {
                 Box::new(move || {
@@ -442,7 +425,8 @@ mod tests {
                 })
             })
             .collect();
-        let err = quiet_panics(|| run_jobs(3, jobs)).unwrap_err();
+        let err = quiet_panics(|| run_jobs_observed(3, "x", &ripple_obs::NullRecorder, jobs))
+            .unwrap_err();
         assert_eq!(err.index, 1, "lowest failing index wins");
         assert!(err.panic_message.contains("odd job 1"));
     }
@@ -524,8 +508,8 @@ mod tests {
                 })
             })
             .collect();
-        let out = quiet_panics(|| run_jobs_observed_settled(2, "obs_fail", &recorder, jobs));
-        assert!(out[2].is_err());
+        let err = quiet_panics(|| run_jobs_observed(2, "obs_fail", &recorder, jobs)).unwrap_err();
+        assert_eq!(err.index, 2);
         let snap = recorder.snapshot();
         assert_eq!(snap.counter("harness.job_failed"), Some(1));
         let failed: Vec<_> = snap.events_named("harness.job_failed").collect();

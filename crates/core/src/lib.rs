@@ -68,8 +68,8 @@ pub use analysis::{
 };
 pub use error::{ConfigError, Error, JobError};
 pub use harness::{
-    effective_threads, policy_matrix, policy_matrix_all, run_jobs, run_jobs_observed,
-    run_jobs_observed_settled, run_jobs_retrying, run_jobs_settled, Job, RetryJob,
+    effective_threads, policy_matrix, policy_matrix_all, run_jobs_observed, run_jobs_retrying,
+    run_jobs_settled, Job, RetryJob,
 };
 pub use metrics::{
     decision_is_accurate, eviction_accuracy, invalidation_accuracy, line_access_counts,

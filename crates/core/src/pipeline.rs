@@ -6,12 +6,11 @@ use std::sync::Arc;
 
 use ripple_obs::{time_phase, NullRecorder, PhaseTimer, Recorder};
 use ripple_program::{
-    patch_invalidates, rewrite, rewrite_incremental, BlockId, InjectionPlan, Layout, LineAddr,
-    Program,
+    patch_invalidates, rewrite, BlockId, InjectionPlan, Layout, LineAddr, Program, Rewritten,
 };
 use ripple_sim::{
-    simulate_ideal_cache, EvictionEvent, EvictionMechanism, PlanCache, PolicyKind, PrefetcherKind,
-    SimConfig, SimSession, SimStats, VecSink,
+    simulate_ideal_cache, EvictionEvent, EvictionMechanism, PolicyKind, PrefetcherKind, SimConfig,
+    SimSession, SimStats, VecSink,
 };
 use ripple_trace::BbTrace;
 
@@ -413,96 +412,60 @@ impl<'p> Ripple<'p> {
             self.analysis.plan_for_threshold(threshold)
         });
 
-        // Layout fixpoint iteration: victims are expressed as layout-
-        // independent `CodeLoc`s, so a plan derived against one layout can
-        // be re-applied to the pristine program. Each round relinks with
-        // the current plan, re-runs the oracle on that layout, and derives
-        // the next plan; by the last round the plan's own layout is (very
-        // nearly) the layout it was derived against, and the residual is
-        // closed by patching operands in place.
+        // Layout fixpoint: victims are expressed as layout-independent
+        // `CodeLoc`s, so a plan derived against one layout can be re-applied
+        // to the pristine program. The training plan is relinked, the
+        // oracle re-run on that layout re-places the slots, and the
+        // program is relinked once more; that layout is (very nearly) the
+        // one its plan was derived against, and the residual is closed by
+        // patching operands in place.
         let final_layout_timer = PhaseTimer::start(&*self.recorder);
-        let rounds = if self.config.final_layout_analysis && !plan.is_empty() {
-            2
-        } else {
-            0
+        let relink = |plan: &InjectionPlan| {
+            time_phase(&*self.recorder, "eval.relink", || {
+                rewrite(self.program, self.layout, plan)
+            })
         };
-        let mut rewritten = time_phase(&*self.recorder, "eval.relink", || {
-            rewrite(self.program, self.layout, &plan)
-        });
+        let mut rewritten = relink(&plan);
         let mut eval_analysis_opt = None;
         let mut final_plan = plan.clone();
-        // Per-function line lists survive relinking for every function the
-        // round didn't dirty; the cache from each round's session seeds the
-        // next round's (and the final evaluation's) fetch-plan splice.
-        let mut plan_cache: Option<PlanCache> = None;
-        for round in 0..rounds {
-            let mut oracle_cfg = self
-                .config
-                .sim
-                .clone()
-                .with_policy(self.config.analysis_oracle());
-            oracle_cfg.eviction_mechanism = EvictionMechanism::NoOp;
-            let mut windows_i = WindowSink::new();
-            plan_cache = Some(time_phase(&*self.recorder, "eval.oracle_replay", || {
-                let session = SimSession::new_cached(
-                    &rewritten.program,
-                    &rewritten.layout,
-                    eval_trace,
-                    oracle_cfg.clone(),
-                    plan_cache.as_ref(),
-                )
-                .with_recorder(self.recorder.clone());
-                let _ = session.run_with_sink(oracle_cfg.policy, &mut windows_i);
-                session.plan_cache()
-            }));
-            let analysis_i = time_phase(&*self.recorder, "eval.window_analysis", || {
-                analyze_windows(
-                    &rewritten.program,
-                    &rewritten.layout,
-                    eval_trace,
-                    windows_i.into_windows(),
-                    &self.config.analysis,
-                )
-            });
-            if round + 1 < rounds {
-                // Intermediate round: re-place slots from this layout's
-                // analysis and relink only the functions whose injected
-                // prefixes changed, splicing the rest of the old layout.
-                let (plan_i, _) = analysis_i.plan_for_threshold(threshold);
-                rewritten = time_phase(&*self.recorder, "eval.relink", || {
-                    rewrite_incremental(self.program, self.layout, &plan_i, &plan, rewritten)
-                });
-                plan = plan_i;
-                continue;
-            }
-            // Final round: the layout is frozen; select cues *subject to*
-            // the reserved slot budget (each window picks an eligible cue
-            // that still has a free slot) and patch operands in place.
-            let (plan_i, coverage_i) = time_phase(&*self.recorder, "eval.patch", || {
+        if self.config.final_layout_analysis && !plan.is_empty() {
+            let (replanned, _) = self
+                .oracle_analysis(&rewritten, eval_trace)
+                .plan_for_threshold(threshold);
+            // Free the first relink before building the second, so only
+            // one extra program copy is alive at a time.
+            drop(rewritten);
+            rewritten = relink(&replanned);
+            plan = replanned;
+            // The layout is frozen: select cues *subject to* the reserved
+            // slot budget (each window picks an eligible cue that still has
+            // a free slot) and patch operands in place.
+            let analysis = self.oracle_analysis(&rewritten, eval_trace);
+            let (assigned, assigned_coverage) = time_phase(&*self.recorder, "eval.patch", || {
                 let mut slots: HashMap<BlockId, usize> = HashMap::new();
                 for block in rewritten.program.blocks() {
                     if block.injected_prefix_len() > 0 {
                         slots.insert(block.id(), block.injected_prefix_len() as usize);
                     }
                 }
-                let (plan_i, coverage_i) = analysis_i.plan_for_slots(threshold, &slots);
+                let (assigned, assigned_coverage) = analysis.plan_for_slots(threshold, &slots);
                 let mut assignments: HashMap<BlockId, Vec<LineAddr>> = HashMap::new();
-                for inj in plan_i.injections() {
+                for inj in assigned.injections() {
                     assignments
                         .entry(inj.cue)
                         .or_default()
                         .push(rewritten.layout.line_of(inj.victim));
                 }
                 patch_invalidates(&mut rewritten.program, &assignments);
-                (plan_i, coverage_i)
+                (assigned, assigned_coverage)
             });
             self.recorder
                 .gauge("eval.slots_reserved", plan.len() as f64);
             self.recorder
-                .gauge("eval.slots_assigned", plan_i.len() as f64);
-            coverage = coverage_i;
-            final_plan = plan_i;
-            eval_analysis_opt = Some(analysis_i);
+                .gauge("eval.slots_assigned", assigned.len() as f64);
+            coverage = assigned_coverage;
+            final_plan = assigned;
+            eval_analysis_opt = Some(analysis);
         }
         let final_program = rewritten.program;
         let final_layout = rewritten.layout;
@@ -525,14 +488,8 @@ impl<'p> Ripple<'p> {
         .with_recorder(self.recorder.clone());
         let mut under_cfg = self.config.sim.clone().with_policy(self.config.underlying);
         under_cfg.eviction_mechanism = self.config.mechanism;
-        let final_session = SimSession::new_cached(
-            &final_program,
-            &final_layout,
-            eval_trace,
-            under_cfg,
-            plan_cache.as_ref(),
-        )
-        .with_recorder(self.recorder.clone());
+        let final_session = SimSession::new(&final_program, &final_layout, eval_trace, under_cfg)
+            .with_recorder(self.recorder.clone());
         let underlying = self.config.underlying;
         let oracle = self.config.oracle();
 
@@ -666,6 +623,39 @@ impl<'p> Ripple<'p> {
             dynamic_overhead_pct,
         })
     }
+
+    /// One oracle pass over a relinked binary: replays the analysis oracle
+    /// (with the injected invalidates inert) and analyzes its eviction
+    /// windows against that binary's layout.
+    fn oracle_analysis(&self, rewritten: &Rewritten, eval_trace: &BbTrace) -> Analysis {
+        let mut oracle_cfg = self
+            .config
+            .sim
+            .clone()
+            .with_policy(self.config.analysis_oracle());
+        oracle_cfg.eviction_mechanism = EvictionMechanism::NoOp;
+        let policy = oracle_cfg.policy;
+        let mut windows = WindowSink::new();
+        time_phase(&*self.recorder, "eval.oracle_replay", || {
+            let session = SimSession::new(
+                &rewritten.program,
+                &rewritten.layout,
+                eval_trace,
+                oracle_cfg,
+            )
+            .with_recorder(self.recorder.clone());
+            let _ = session.run_with_sink(policy, &mut windows);
+        });
+        time_phase(&*self.recorder, "eval.window_analysis", || {
+            analyze_windows(
+                &rewritten.program,
+                &rewritten.layout,
+                eval_trace,
+                windows.into_windows(),
+                &self.config.analysis,
+            )
+        })
+    }
 }
 
 /// An explicit sweep threshold must be a finite probability.
@@ -725,6 +715,84 @@ mod tests {
         assert!(outcome.dynamic_overhead_pct > 0.0);
         // The performance guarantee on calibrated workloads is asserted by
         // the integration tests; the tiny app only checks plumbing.
+    }
+
+    /// Evaluates the `tiny(21)` app at `small_config` on its training trace.
+    fn tiny_outcome(final_layout_analysis: bool) -> RippleOutcome {
+        let app = generate(&AppSpec::tiny(21));
+        let layout = Layout::new(&app.program, &LayoutConfig::default());
+        let trace = execute(&app.program, &app.model, InputConfig::training(21), 60_000);
+        let mut cfg = small_config();
+        cfg.final_layout_analysis = final_layout_analysis;
+        let ripple = Ripple::train(&app.program, &layout, &trace, cfg).unwrap();
+        ripple.evaluate(&trace).unwrap()
+    }
+
+    #[test]
+    fn layout_fixpoint_output_is_pinned() {
+        // Relink, re-place the slots against that layout, relink again and
+        // patch: the Ripple binary's stats, its reserved slot count and
+        // the final-layout coverage are pinned to recorded values.
+        let o = tiny_outcome(true);
+        assert_eq!(o.injected_static, 32);
+        assert_eq!(
+            o.coverage,
+            CoverageStats {
+                total_windows: 273,
+                covered_windows: 204,
+                skipped_unrewritable: 1,
+            }
+        );
+        assert_eq!(
+            o.ripple,
+            SimStats {
+                blocks: 9820,
+                instructions: 45039,
+                invalidate_instructions: 1254,
+                cycles: f64::from_bits(0x40d9_b0d3_3333_332e),
+                demand_accesses: 12674,
+                demand_misses: 411,
+                compulsory_misses: 14,
+                served_l2: 397,
+                served_l3: 14,
+                evictions: 20,
+                invalidate_hits: 388,
+                ..SimStats::default()
+            }
+        );
+    }
+
+    #[test]
+    fn single_relink_output_is_pinned() {
+        // Without the final-layout analysis the training plan is relinked
+        // once and evaluated as is.
+        let o = tiny_outcome(false);
+        assert_eq!(o.injected_static, 29);
+        assert_eq!(
+            o.coverage,
+            CoverageStats {
+                total_windows: 255,
+                covered_windows: 180,
+                skipped_unrewritable: 0,
+            }
+        );
+        assert_eq!(
+            o.ripple,
+            SimStats {
+                blocks: 9820,
+                instructions: 45039,
+                invalidate_instructions: 1400,
+                cycles: f64::from_bits(0x40da_c2ac_cccc_ccc2),
+                demand_accesses: 12477,
+                demand_misses: 555,
+                compulsory_misses: 13,
+                served_l2: 542,
+                served_l3: 13,
+                evictions: 117,
+                invalidate_hits: 437,
+                ..SimStats::default()
+            }
+        );
     }
 
     #[test]

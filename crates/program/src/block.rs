@@ -131,23 +131,6 @@ impl BasicBlock {
         self.injected_prefix += n;
     }
 
-    /// Replaces the injected invalidation prefix wholesale: any existing
-    /// prefix is removed and `invalidates` becomes the new prefix. Used by
-    /// the incremental rewriter when a block's victim list changes between
-    /// fixpoint rounds; `set_injected_prefix(vec![])` restores the block to
-    /// its original instruction stream.
-    pub(crate) fn set_injected_prefix(&mut self, invalidates: Vec<Instruction>) {
-        debug_assert!(
-            invalidates.iter().all(|i| i.kind().is_invalidate()),
-            "only invalidate instructions may be injected"
-        );
-        let n = invalidates.len() as u32;
-        let mut v = invalidates;
-        v.extend_from_slice(&self.instructions[self.injected_prefix as usize..]);
-        self.instructions = v;
-        self.injected_prefix = n;
-    }
-
     /// Rewrites injected invalidate operands in place. Used by the rewriter
     /// after relinking to translate old-layout lines to new-layout lines.
     pub(crate) fn map_invalidate_operands(

@@ -9,7 +9,7 @@
 //! layouts by a [`LineMapper`](crate::LineMapper).
 
 use crate::addr::{lines_spanning, Addr, LineAddr, LineSpan};
-use crate::ids::{BlockId, CodeLoc, FuncId};
+use crate::ids::{BlockId, CodeLoc};
 use crate::program::Program;
 
 /// Linker parameters.
@@ -99,66 +99,6 @@ impl Layout {
             block_size,
             block_prefix,
             by_addr,
-            end: cursor,
-        }
-    }
-
-    /// Incremental relink: lays out `program` by splicing unchanged
-    /// per-function spans from `prev` and re-laying-out only the functions
-    /// for which `dirty` returns true.
-    ///
-    /// `prev` must be a layout of the same program modulo edits confined to
-    /// dirty functions (same function set, same block ids, clean functions'
-    /// blocks byte-identical). Clean functions are copied from `prev` —
-    /// shifted wholesale when an earlier dirty function changed size —
-    /// without re-measuring their blocks; dirty functions are re-measured
-    /// exactly as [`Layout::new`] would. The result is byte-identical to a
-    /// from-scratch `Layout::new(program, prev.config())`; in particular
-    /// the address order is `prev`'s, since the functions and their blocks
-    /// are the same and shifting a function keeps its blocks' order.
-    pub fn new_incremental(
-        program: &Program,
-        prev: &Layout,
-        mut dirty: impl FnMut(FuncId) -> bool,
-    ) -> Self {
-        let mut block_addr = prev.block_addr.clone();
-        let mut block_size = prev.block_size.clone();
-        let mut block_prefix = prev.block_prefix.clone();
-        let mut cursor = prev.config.base_addr;
-        for func in program.functions() {
-            cursor = cursor.align_up(prev.config.function_align);
-            let blocks = func.blocks();
-            let (Some(&first), Some(&last)) = (blocks.first(), blocks.last()) else {
-                continue;
-            };
-            if dirty(func.id()) {
-                for &bid in blocks {
-                    let block = program.block(bid);
-                    let size = block.size_bytes();
-                    block_addr[bid.index()] = cursor;
-                    block_size[bid.index()] = size;
-                    block_prefix[bid.index()] = block.injected_prefix_bytes();
-                    cursor = cursor.wrapping_add(u64::from(size));
-                }
-            } else {
-                let delta = cursor
-                    .get()
-                    .wrapping_sub(prev.block_addr[first.index()].get());
-                if delta != 0 {
-                    for &bid in blocks {
-                        block_addr[bid.index()] =
-                            Addr::new(prev.block_addr[bid.index()].get().wrapping_add(delta));
-                    }
-                }
-                cursor = block_addr[last.index()].wrapping_add(u64::from(block_size[last.index()]));
-            }
-        }
-        Layout {
-            config: prev.config,
-            block_addr,
-            block_size,
-            block_prefix,
-            by_addr: prev.by_addr.clone(),
             end: cursor,
         }
     }

@@ -6,14 +6,14 @@
 //! to v1; [`LineMapper`] performs that translation by following the first
 //! code byte of each v0 line to its new home.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use ripple_json::{object, FromJson, JsonError, ToJson, Value};
 
-use crate::addr::{lines_spanning, LineAddr, CACHE_LINE_BYTES};
-use crate::ids::{BlockId, CodeLoc, FuncId};
+use crate::addr::{lines_spanning, LineAddr};
+use crate::ids::{BlockId, CodeLoc};
 use crate::inst::Instruction;
-use crate::layout::{Layout, LayoutConfig};
+use crate::layout::Layout;
 use crate::program::Program;
 
 /// One planned injection: when `cue` executes, invalidate the line holding
@@ -138,7 +138,7 @@ impl LineMapper {
             if size == 0 {
                 continue;
             }
-            for line in crate::addr::lines_spanning(start, size) {
+            for line in lines_spanning(start, size) {
                 // First code byte of this line within this block.
                 let line_base = line.base_addr();
                 let first_byte = line_base.max(start);
@@ -186,7 +186,7 @@ pub fn line_origins(program: &Program, layout: &Layout) -> HashMap<LineAddr, Cod
         if size == 0 {
             continue;
         }
-        for line in crate::addr::lines_spanning(start, size) {
+        for line in lines_spanning(start, size) {
             let first_byte = line.base_addr().max(start);
             map.entry(line).or_insert_with(|| {
                 let offset = (first_byte.get() - start.get()) as u32;
@@ -197,16 +197,13 @@ pub fn line_origins(program: &Program, layout: &Layout) -> HashMap<LineAddr, Cod
     map
 }
 
-/// Result of [`rewrite`]: the rewritten program, its new layout, and the
-/// v0→v1 line mapper.
+/// Result of [`rewrite`]: the rewritten program and its new layout.
 #[derive(Debug, Clone)]
 pub struct Rewritten {
     /// The program with invalidate instructions injected.
     pub program: Program,
     /// Layout of the rewritten program.
     pub layout: Layout,
-    /// Maps profiled-layout lines to rewritten-layout lines.
-    pub mapper: LineMapper,
 }
 
 /// Applies `plan` to `program`, relinks, and fixes up invalidate operands.
@@ -267,168 +264,6 @@ pub fn rewrite(program: &Program, old_layout: &Layout, plan: &InjectionPlan) -> 
     Rewritten {
         program: new_program,
         layout: new_layout,
-        mapper,
-    }
-}
-
-/// Groups a plan's injections per cue block, preserving plan order.
-fn victims_per_block(plan: &InjectionPlan) -> HashMap<BlockId, Vec<CodeLoc>> {
-    let mut per_block: HashMap<BlockId, Vec<CodeLoc>> = HashMap::new();
-    for inj in plan.injections() {
-        per_block.entry(inj.cue).or_default().push(inj.victim);
-    }
-    per_block
-}
-
-/// Incremental version of [`rewrite`] for the layout fixpoint loop:
-/// produces a [`Rewritten`] identical to `rewrite(program, old_layout,
-/// plan)` by editing `prev` — the `Rewritten` produced from the *same*
-/// `program`/`old_layout` and `prev_plan` — instead of starting over.
-///
-/// Only blocks whose per-cue victim list changed between `prev_plan` and
-/// `plan` are touched: their invalidation prefixes are replaced, their
-/// enclosing functions are re-laid-out, and every other function's layout
-/// span is spliced from `prev.layout` (shifted wholesale when an earlier
-/// function changed size). The v0→v1 [`LineMapper`] is patched the same
-/// way: dirty functions' lines are recomputed, clean functions' mapped
-/// lines are shifted by their function's displacement.
-///
-/// The dirty-set and splice rules rely on functions never sharing a cache
-/// line, which holds when `function_align` is a multiple of the line size;
-/// for other alignments this falls back to the from-scratch [`rewrite`].
-pub fn rewrite_incremental(
-    program: &Program,
-    old_layout: &Layout,
-    plan: &InjectionPlan,
-    prev_plan: &InjectionPlan,
-    prev: Rewritten,
-) -> Rewritten {
-    let align = old_layout.config().function_align;
-    if align == 0 || !align.is_multiple_of(CACHE_LINE_BYTES) {
-        return rewrite(program, old_layout, plan);
-    }
-
-    let per_block_new = victims_per_block(plan);
-    let per_block_prev = victims_per_block(prev_plan);
-
-    // Dirty = any block whose victim list (order-sensitive: it dictates
-    // the injected byte sequence) changed between the two plans.
-    let empty: Vec<CodeLoc> = Vec::new();
-    let mut dirty_blocks: Vec<BlockId> = per_block_new
-        .keys()
-        .chain(per_block_prev.keys())
-        .copied()
-        .collect::<HashSet<_>>()
-        .into_iter()
-        .filter(|b| {
-            per_block_new.get(b).unwrap_or(&empty) != per_block_prev.get(b).unwrap_or(&empty)
-        })
-        .collect();
-    dirty_blocks.sort_unstable();
-    let dirty_funcs: HashSet<FuncId> = dirty_blocks
-        .iter()
-        .map(|&b| program.block(b).func())
-        .collect();
-
-    let Rewritten {
-        program: mut new_program,
-        layout: prev_layout,
-        mut mapper,
-    } = prev;
-
-    // 1. Replace the invalidation prefix of every dirty block; operands
-    //    are placeholders fixed up against the new layout below.
-    for &cue in &dirty_blocks {
-        let instrs: Vec<Instruction> = per_block_new
-            .get(&cue)
-            .map(|victims| {
-                victims
-                    .iter()
-                    .map(|&loc| Instruction::invalidate(old_layout.line_of(loc)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        new_program.blocks_mut()[cue.index()].set_injected_prefix(instrs);
-    }
-
-    // 2. Splice the layout: re-lay-out dirty functions, copy (and shift)
-    //    everything else from the previous round's layout.
-    let new_layout =
-        Layout::new_incremental(&new_program, &prev_layout, |f| dirty_funcs.contains(&f));
-
-    // 3. Patch the v0→v1 mapper per function.
-    for func in program.functions() {
-        let blocks = func.blocks();
-        let (Some(&first), Some(&last)) = (blocks.first(), blocks.last()) else {
-            continue;
-        };
-        let v0_start = old_layout.block_addr(first);
-        let v0_end = old_layout.block_end(last);
-        if v0_end == v0_start {
-            continue; // no code bytes, no mapped lines
-        }
-        if dirty_funcs.contains(&func.id()) {
-            // Recompute this function's lines from scratch. Blocks iterate
-            // in id order (ties on shared lines go to the lowest id, as in
-            // LineMapper::new, which walks the whole program by id).
-            let mut ids: Vec<BlockId> = blocks.to_vec();
-            ids.sort_unstable();
-            for line in lines_spanning(v0_start, v0_end.get() - v0_start.get()) {
-                mapper.map.remove(&line);
-            }
-            for &bid in &ids {
-                let start = old_layout.block_addr(bid);
-                let size = u64::from(old_layout.block_size(bid));
-                if size == 0 {
-                    continue;
-                }
-                for line in lines_spanning(start, size) {
-                    let first_byte = line.base_addr().max(start);
-                    mapper.map.entry(line).or_insert_with(|| {
-                        let offset = (first_byte.get() - start.get()) as u32;
-                        new_layout.line_of(CodeLoc::new(bid, offset))
-                    });
-                }
-            }
-        } else {
-            // Clean function: its code moved wholesale (or not at all).
-            // Function starts are line-aligned, so the byte displacement
-            // is a whole number of lines.
-            let delta_lines = new_layout
-                .block_addr(first)
-                .line()
-                .index()
-                .wrapping_sub(prev_layout.block_addr(first).line().index());
-            if delta_lines == 0 {
-                continue;
-            }
-            for line in lines_spanning(v0_start, v0_end.get() - v0_start.get()) {
-                if let Some(mapped) = mapper.map.get_mut(&line) {
-                    *mapped = LineAddr::new(mapped.index().wrapping_add(delta_lines));
-                }
-            }
-        }
-    }
-
-    // 4. Rebuild the invalidate operands of every injected block from the
-    //    plan via the patched mapper — clean blocks' operands are stale
-    //    whenever their *victim's* line moved, so all of them are redone
-    //    (O(plan), not O(program)).
-    for (cue, victims) in &per_block_new {
-        let block = &mut new_program.blocks_mut()[cue.index()];
-        debug_assert_eq!(block.injected_prefix_len() as usize, victims.len());
-        let mut idx = 0;
-        block.map_invalidate_operands(|_| {
-            let line = mapper.map(old_layout.line_of(victims[idx]));
-            idx += 1;
-            line
-        });
-    }
-
-    Rewritten {
-        program: new_program,
-        layout: new_layout,
-        mapper,
     }
 }
 
@@ -446,40 +281,24 @@ pub const NOOP_LINE: LineAddr = LineAddr::new(u64::MAX);
 ///
 /// # Panics
 ///
-/// Panics if a block is assigned more lines than it has injected slots.
+/// Panics if a block is assigned more lines than it has injected slots
+/// (so a block without slots takes none).
 pub fn patch_invalidates(program: &mut Program, assignments: &HashMap<BlockId, Vec<LineAddr>>) {
+    for (&id, lines) in assignments {
+        let slots = program.block(id).injected_prefix_len() as usize;
+        assert!(
+            lines.len() <= slots,
+            "block {id} has {slots} invalidate slots but {} assignments",
+            lines.len()
+        );
+    }
     for block in program.blocks_mut() {
-        let slots = block.injected_prefix_len() as usize;
-        if slots == 0 {
+        if block.injected_prefix_len() == 0 {
             continue;
         }
-        let lines = assignments.get(&block.id());
-        let assigned = lines.map_or(0, Vec::len);
-        assert!(
-            assigned <= slots,
-            "block {} has {} invalidate slots but {} assignments",
-            block.id(),
-            slots,
-            assigned
-        );
-        let mut idx = 0;
-        block.map_invalidate_operands(|_| {
-            let line = match lines {
-                Some(v) if idx < v.len() => v[idx],
-                _ => NOOP_LINE,
-            };
-            idx += 1;
-            line
-        });
+        let mut lines = assignments.get(&block.id()).into_iter().flatten().copied();
+        block.map_invalidate_operands(|_| lines.next().unwrap_or(NOOP_LINE));
     }
-}
-
-/// Convenience: lays out `program` with `config` and applies an empty plan,
-/// returning an identity [`Rewritten`]. Useful for baselines that must flow
-/// through the same types as Ripple-optimized binaries.
-pub fn identity_rewrite(program: &Program, config: &LayoutConfig) -> Rewritten {
-    let layout = Layout::new(program, config);
-    rewrite(program, &layout, &InjectionPlan::new())
 }
 
 #[cfg(test)]
@@ -487,6 +306,7 @@ mod tests {
     use super::*;
     use crate::function::CodeKind;
     use crate::inst::{InstKind, INVALIDATE_BYTES};
+    use crate::layout::LayoutConfig;
     use crate::program::ProgramBuilder;
 
     fn linear_program(block_bytes: &[u8]) -> Program {
@@ -507,15 +327,68 @@ mod tests {
         b.finish(main).unwrap()
     }
 
+    /// Multi-function program: `funcs[i]` lists block byte sizes of f_i.
+    fn multi_function_program(funcs: &[&[u8]]) -> Program {
+        let mut b = ProgramBuilder::new();
+        let mut entry = None;
+        for (fi, blocks) in funcs.iter().enumerate() {
+            let f = b.add_function(format!("f{fi}"), CodeKind::Static);
+            entry.get_or_insert(f);
+            let n = blocks.len();
+            for (bi, &sz) in blocks.iter().enumerate() {
+                let blk = b.add_block(f);
+                if bi + 1 == n {
+                    if sz > 1 {
+                        b.push_inst(blk, Instruction::other(sz - 1));
+                    }
+                    b.push_inst(blk, Instruction::ret());
+                } else {
+                    b.push_inst(blk, Instruction::other(sz));
+                }
+            }
+        }
+        b.finish(entry.unwrap()).unwrap()
+    }
+
+    fn inj(cue: u32, victim_block: u32, offset: u32) -> Injection {
+        Injection {
+            cue: BlockId::new(cue),
+            victim: CodeLoc::new(BlockId::new(victim_block), offset),
+        }
+    }
+
+    /// The operands of `block`'s injected invalidation prefix, in order.
+    fn invalidate_operands(program: &Program, block: BlockId) -> Vec<LineAddr> {
+        let block = program.block(block);
+        block.instructions()[..block.injected_prefix_len() as usize]
+            .iter()
+            .map(|inst| match inst.kind() {
+                InstKind::Invalidate { line } => line,
+                other => panic!("expected invalidate, got {other:?}"),
+            })
+            .collect()
+    }
+
     #[test]
     fn empty_plan_is_identity() {
-        let p = linear_program(&[32, 32, 16]);
-        let layout = Layout::new(&p, &LayoutConfig::default());
-        let rw = rewrite(&p, &layout, &InjectionPlan::new());
-        assert_eq!(rw.program, p);
-        assert_eq!(rw.layout, layout);
-        for i in 0..4u64 {
-            assert_eq!(rw.mapper.map(LineAddr::new(i)), LineAddr::new(i));
+        // Also at a 16-byte function alignment, where functions share
+        // cache lines.
+        let p = multi_function_program(&[&[32, 16], &[10], &[70]]);
+        for function_align in [16, 64] {
+            let config = LayoutConfig {
+                function_align,
+                ..LayoutConfig::default()
+            };
+            let layout = Layout::new(&p, &config);
+            let rw = rewrite(&p, &layout, &InjectionPlan::new());
+            assert_eq!(rw.program, p);
+            assert_eq!(rw.layout, layout);
+            let mapper = LineMapper::new(&p, &layout, &rw.layout);
+            for block in p.blocks() {
+                for line in layout.lines_of_block(block.id()) {
+                    assert_eq!(mapper.map(line), line);
+                }
+            }
         }
     }
 
@@ -555,14 +428,12 @@ mod tests {
         let new_line = rw.layout.line_of(victim);
         // Injection shifted block 2 by 7 bytes, may or may not move it to
         // another line, but operand must equal new layout's line.
-        let inst = rw.program.block(BlockId::new(0)).instructions()[0];
-        match inst.kind() {
-            InstKind::Invalidate { line } => {
-                assert_eq!(line, new_line);
-                assert_eq!(rw.mapper.map(old_line), new_line);
-            }
-            other => panic!("expected invalidate, got {other:?}"),
-        }
+        assert_eq!(
+            invalidate_operands(&rw.program, BlockId::new(0)),
+            [new_line]
+        );
+        let mapper = LineMapper::new(&p, &layout, &rw.layout);
+        assert_eq!(mapper.map(old_line), new_line);
     }
 
     #[test]
@@ -624,118 +495,111 @@ mod tests {
         });
         let rw = rewrite(&p, &layout, &plan);
         let b1_new_line = rw.layout.block_addr(BlockId::new(1)).line();
-        assert_eq!(rw.mapper.map(b1_old_line), b1_new_line);
+        let mapper = LineMapper::new(&p, &layout, &rw.layout);
+        assert_eq!(mapper.map(b1_old_line), b1_new_line);
     }
 
     #[test]
-    fn identity_rewrite_matches_layout() {
-        let p = linear_program(&[32, 16]);
-        let rw = identity_rewrite(&p, &LayoutConfig::default());
-        assert_eq!(rw.layout, Layout::new(&p, &LayoutConfig::default()));
-        assert_eq!(rw.program, p);
-    }
-
-    /// Multi-function program: `funcs[i]` lists block byte sizes of f_i.
-    fn multi_function_program(funcs: &[&[u8]]) -> Program {
-        let mut b = ProgramBuilder::new();
-        let mut entry = None;
-        for (fi, blocks) in funcs.iter().enumerate() {
-            let f = b.add_function(format!("f{fi}"), CodeKind::Static);
-            entry.get_or_insert(f);
-            let n = blocks.len();
-            for (bi, &sz) in blocks.iter().enumerate() {
-                let blk = b.add_block(f);
-                if bi + 1 == n {
-                    if sz > 1 {
-                        b.push_inst(blk, Instruction::other(sz - 1));
-                    }
-                    b.push_inst(blk, Instruction::ret());
-                } else {
-                    b.push_inst(blk, Instruction::other(sz));
-                }
-            }
-        }
-        b.finish(entry.unwrap()).unwrap()
-    }
-
-    fn assert_incremental_matches_full(
-        program: &Program,
-        layout: &Layout,
-        prev_plan: &InjectionPlan,
-        plan: &InjectionPlan,
-    ) {
-        let prev = rewrite(program, layout, prev_plan);
-        let incremental = rewrite_incremental(program, layout, plan, prev_plan, prev);
-        let full = rewrite(program, layout, plan);
-        assert_eq!(incremental.program, full.program, "programs diverge");
-        assert_eq!(incremental.layout, full.layout, "layouts diverge");
-        assert_eq!(incremental.mapper, full.mapper, "mappers diverge");
-    }
-
-    fn inj(cue: u32, victim_block: u32, offset: u32) -> Injection {
-        Injection {
-            cue: BlockId::new(cue),
-            victim: CodeLoc::new(BlockId::new(victim_block), offset),
-        }
-    }
-
-    #[test]
-    fn incremental_matches_full_from_empty_plan() {
-        // f0: blocks 0-1, f1: blocks 2-3, f2: block 4. Injecting into
-        // block 2 dirties f1 only; f2 may shift if f1 outgrows its slack.
-        let p = multi_function_program(&[&[40, 24], &[60, 60], &[64]]);
-        let layout = Layout::new(&p, &LayoutConfig::default());
-        let plan: InjectionPlan = [inj(2, 0, 0), inj(2, 4, 8), inj(0, 3, 0)]
-            .into_iter()
-            .collect();
-        assert_incremental_matches_full(&p, &layout, &InjectionPlan::new(), &plan);
-    }
-
-    #[test]
-    fn incremental_matches_full_between_plans() {
-        let p = multi_function_program(&[&[40, 24], &[60, 60], &[64], &[30, 30]]);
-        let layout = Layout::new(&p, &LayoutConfig::default());
-        let prev: InjectionPlan = [inj(2, 0, 0), inj(0, 4, 0)].into_iter().collect();
-        // Adds a cue, drops a cue, reorders one block's victims.
-        let next: InjectionPlan = [inj(2, 4, 8), inj(2, 0, 0), inj(5, 1, 0)]
-            .into_iter()
-            .collect();
-        assert_incremental_matches_full(&p, &layout, &prev, &next);
-    }
-
-    #[test]
-    fn incremental_matches_full_when_plan_empties() {
-        let p = multi_function_program(&[&[64, 64], &[32]]);
-        let layout = Layout::new(&p, &LayoutConfig::default());
-        let prev: InjectionPlan = [inj(0, 2, 0), inj(1, 0, 0)].into_iter().collect();
-        assert_incremental_matches_full(&p, &layout, &prev, &InjectionPlan::new());
-    }
-
-    #[test]
-    fn incremental_matches_full_when_plans_are_identical() {
-        let p = multi_function_program(&[&[40, 24], &[60, 60]]);
-        let layout = Layout::new(&p, &LayoutConfig::default());
-        let plan: InjectionPlan = [inj(0, 2, 0), inj(3, 1, 0)].into_iter().collect();
-        assert_incremental_matches_full(&p, &layout, &plan, &plan.clone());
-    }
-
-    #[test]
-    fn incremental_falls_back_on_sub_line_alignment() {
-        // function_align = 16 lets functions share cache lines, which the
-        // splice rules cannot handle; the fallback must still be exact.
+    fn sub_line_alignment_operands_follow_line_mapper() {
+        // function_align = 16 lets functions share cache lines; the
+        // property tests cover only the default 64-byte alignment.
         let p = multi_function_program(&[&[10], &[10], &[10]]);
         let config = LayoutConfig {
             function_align: 16,
             ..LayoutConfig::default()
         };
         let layout = Layout::new(&p, &config);
-        let prev_plan: InjectionPlan = [inj(0, 1, 0)].into_iter().collect();
-        let plan: InjectionPlan = [inj(0, 1, 0), inj(2, 0, 0)].into_iter().collect();
-        let prev = rewrite(&p, &layout, &prev_plan);
-        let incremental = rewrite_incremental(&p, &layout, &plan, &prev_plan, prev);
-        let full = rewrite(&p, &layout, &plan);
-        assert_eq!(incremental.program, full.program);
-        assert_eq!(incremental.layout, full.layout);
-        assert_eq!(incremental.mapper, full.mapper);
+        let plan: InjectionPlan = [inj(0, 1, 0), inj(2, 0, 0), inj(0, 2, 4)]
+            .into_iter()
+            .collect();
+        let rw = rewrite(&p, &layout, &plan);
+        let mapper = LineMapper::new(&p, &layout, &rw.layout);
+        let mut expected: HashMap<BlockId, Vec<LineAddr>> = HashMap::new();
+        for inj in plan.injections() {
+            expected
+                .entry(inj.cue)
+                .or_default()
+                .push(mapper.map(layout.line_of(inj.victim)));
+        }
+        for block in rw.program.blocks() {
+            let want = expected.remove(&block.id()).unwrap_or_default();
+            assert_eq!(invalidate_operands(&rw.program, block.id()), want);
+        }
+        assert_eq!(rw.layout, Layout::new(&rw.program, &config));
+    }
+
+    /// A relinked program with two slots in block 0, one in block 2 and
+    /// none in block 1.
+    fn slotted() -> (Rewritten, LayoutConfig) {
+        let p = linear_program(&[32, 32, 16]);
+        let config = LayoutConfig::default();
+        let layout = Layout::new(&p, &config);
+        let plan: InjectionPlan = [inj(0, 2, 0), inj(0, 1, 0), inj(2, 0, 0)]
+            .into_iter()
+            .collect();
+        (rewrite(&p, &layout, &plan), config)
+    }
+
+    #[test]
+    fn patch_keeps_the_relinked_layout() {
+        let (mut rw, config) = slotted();
+        let assignments = HashMap::from([
+            (BlockId::new(0), vec![LineAddr::new(7)]),
+            (BlockId::new(2), vec![LineAddr::new(3)]),
+        ]);
+        patch_invalidates(&mut rw.program, &assignments);
+        assert_eq!(Layout::new(&rw.program, &config), rw.layout);
+    }
+
+    #[test]
+    fn patch_pads_unassigned_slots_with_noop_line() {
+        let (mut rw, _) = slotted();
+        let assignments = HashMap::from([(BlockId::new(0), vec![LineAddr::new(7)])]);
+        patch_invalidates(&mut rw.program, &assignments);
+        assert_eq!(
+            invalidate_operands(&rw.program, BlockId::new(0)),
+            [LineAddr::new(7), NOOP_LINE]
+        );
+        assert_eq!(
+            invalidate_operands(&rw.program, BlockId::new(2)),
+            [NOOP_LINE]
+        );
+    }
+
+    #[test]
+    fn patch_keeps_assignment_order() {
+        let (mut rw, _) = slotted();
+        let lines = vec![LineAddr::new(9), LineAddr::new(2)];
+        let assignments = HashMap::from([(BlockId::new(0), lines.clone())]);
+        patch_invalidates(&mut rw.program, &assignments);
+        assert_eq!(invalidate_operands(&rw.program, BlockId::new(0)), lines);
+    }
+
+    #[test]
+    fn patch_leaves_slotless_blocks_untouched() {
+        let (mut rw, _) = slotted();
+        let before = rw.program.block(BlockId::new(1)).clone();
+        let assignments = HashMap::from([
+            (BlockId::new(0), vec![LineAddr::new(7), LineAddr::new(8)]),
+            (BlockId::new(2), vec![LineAddr::new(3)]),
+        ]);
+        patch_invalidates(&mut rw.program, &assignments);
+        assert_eq!(rw.program.block(BlockId::new(1)), &before);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalidate slots")]
+    fn patch_panics_on_assignment_to_a_slotless_block() {
+        let (mut rw, _) = slotted();
+        let lines = vec![LineAddr::new(1)];
+        patch_invalidates(&mut rw.program, &HashMap::from([(BlockId::new(1), lines)]));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalidate slots")]
+    fn patch_panics_on_over_assignment() {
+        let (mut rw, _) = slotted();
+        let lines = vec![LineAddr::new(1); 2];
+        patch_invalidates(&mut rw.program, &HashMap::from([(BlockId::new(2), lines)]));
     }
 }

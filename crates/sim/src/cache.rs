@@ -93,8 +93,8 @@ impl<P: ?Sized + ReplacementPolicy> Cache<P> {
         Cache::with_line_base(geom, policy, 0)
     }
 
-    /// Creates an empty cache accessed with ids from an interner whose
-    /// [`line_base`](crate::LineTable::line_base) is `line_base`.
+    /// Creates an empty cache accessed with ids from an interner that
+    /// interns raw line index `line_base` as `LineId(0)`.
     pub fn with_line_base(geom: CacheGeometry, policy: Box<P>, line_base: u64) -> Self {
         let num_sets = geom.num_sets();
         let total = (num_sets * u64::from(geom.assoc)) as usize;

@@ -23,7 +23,7 @@ use ripple_trace::{BbTrace, TraceHealth};
 
 use crate::config::{PolicyKind, SimConfig};
 use crate::frontend::Frontend;
-use crate::intern::{FetchPlan, LineTable, PlanCache};
+use crate::intern::{FetchPlan, LineTable};
 use crate::policy::{
     build_ideal_policy, build_policy, DemandMinPolicy, FutureIndex, LruPolicy, OptPolicy,
     ReplacementPolicy,
@@ -115,21 +115,8 @@ impl<'a> SimSession<'a> {
         trace: &'a BbTrace,
         config: SimConfig,
     ) -> Self {
-        Self::new_cached(program, layout, trace, config, None)
-    }
-
-    /// [`SimSession::new`], splicing the fetch plan from a previous
-    /// session's [`PlanCache`] where per-function layout hashes match
-    /// (identical plans either way; see [`FetchPlan::build_cached`]).
-    pub fn new_cached(
-        program: &'a Program,
-        layout: &'a Layout,
-        trace: &'a BbTrace,
-        config: SimConfig,
-        prev: Option<&PlanCache>,
-    ) -> Self {
         let table = LineTable::build(layout);
-        let plan = FetchPlan::build_cached(program, layout, &table, prev);
+        let plan = FetchPlan::build(program, layout, &table);
         SimSession {
             program,
             layout,
@@ -194,13 +181,6 @@ impl<'a> SimSession<'a> {
     /// The trace being simulated.
     pub fn trace(&self) -> &'a BbTrace {
         self.trace
-    }
-
-    /// Extracts this session's reusable interning artifacts, to seed a
-    /// later session over a re-linked layout via
-    /// [`SimSession::new_cached`].
-    pub fn plan_cache(&self) -> PlanCache {
-        PlanCache::capture(self.program, self.layout, &self.table, &self.plan)
     }
 
     /// Simulates under `policy`, discarding evictions.

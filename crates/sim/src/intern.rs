@@ -16,18 +16,18 @@
 //! different tables are not comparable; [`LineAddr`] remains the boundary
 //! type everywhere results leave the simulator (sinks, stats, analysis).
 
-use ripple_program::{BlockId, Layout, LineAddr, Program, CACHE_LINE_BYTES};
+use ripple_program::{BlockId, Layout, LineAddr, Program};
 
-/// Dense index of a cache line within one layout's [`LineTable`].
+/// Dense index of a cache line within one layout's line table.
 ///
 /// `LineId`s are only meaningful relative to the table that produced them;
-/// convert back with [`LineTable::line`] before crossing an API boundary.
+/// convert back to a [`LineAddr`] before crossing an API boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LineId(u32);
 
 impl LineId {
-    /// Sentinel used by cache ways for "no line" (never a valid id:
-    /// [`LineTable::build`] rejects layouts spanning `u32::MAX` lines).
+    /// Sentinel used by cache ways for "no line" (never a valid id: the
+    /// line table rejects layouts spanning `u32::MAX` lines).
     pub const INVALID: LineId = LineId(u32::MAX);
 
     /// Creates an id from a raw dense index.
@@ -64,29 +64,8 @@ impl std::fmt::Display for LineId {
 
 /// Bidirectional map between the [`LineAddr`]s of one layout's text segment
 /// and dense [`LineId`]s.
-///
-/// # Examples
-///
-/// ```
-/// use ripple_program::{CodeKind, Instruction, Layout, LayoutConfig, ProgramBuilder};
-/// use ripple_sim::LineTable;
-///
-/// let mut b = ProgramBuilder::new();
-/// let main = b.add_function("main", CodeKind::Static);
-/// let bb = b.add_block(main);
-/// b.push_inst(bb, Instruction::other(100));
-/// b.push_inst(bb, Instruction::ret());
-/// let program = b.finish(main)?;
-/// let layout = Layout::new(&program, &LayoutConfig::default());
-///
-/// let table = LineTable::build(&layout);
-/// let line = layout.lines_of_block(bb).next().unwrap();
-/// let id = table.lookup(line).unwrap();
-/// assert_eq!(table.line(id), line);
-/// # Ok::<(), ripple_program::ValidateProgramError>(())
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LineTable {
+pub(crate) struct LineTable {
     /// Raw line index interned as `LineId(0)`.
     first: u64,
     /// Number of interned lines (text span plus one margin line).
@@ -123,11 +102,6 @@ impl LineTable {
         self.len
     }
 
-    /// Whether the table interns no lines (layout without code bytes).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Raw line index of `LineId(0)`; cache set mapping adds this base back
     /// so `set_of(line(id))` is preserved under interning.
     pub fn line_base(&self) -> u64 {
@@ -161,7 +135,7 @@ impl LineTable {
 /// resolved once per session instead of via [`Layout::lines_of_block`] on
 /// every trace step.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FetchPlan {
+pub(crate) struct FetchPlan {
     /// Concatenated per-block line lists, in fetch order.
     ids: Vec<LineId>,
     /// `num_blocks + 1` offsets into `ids`.
@@ -198,145 +172,11 @@ impl FetchPlan {
         FetchPlan { ids, bounds }
     }
 
-    /// [`FetchPlan::build`] with per-function splicing from a previous
-    /// layout's [`PlanCache`].
-    ///
-    /// Functions whose layout signature (the sequence of block sizes)
-    /// matches the cached one occupy the same lines *relative to their
-    /// 64-byte-aligned start*, so their cached id lists are copied with a
-    /// constant delta instead of re-walking [`Layout::lines_of_block`].
-    /// Functions that changed — and everything when the layouts' function
-    /// alignment is not a whole number of cache lines — fall back to the
-    /// fresh walk. The result is always identical to [`FetchPlan::build`].
-    #[allow(clippy::expect_used)] // same capacity/coverage contract as `build`
-    pub fn build_cached(
-        program: &Program,
-        layout: &Layout,
-        table: &LineTable,
-        prev: Option<&PlanCache>,
-    ) -> Self {
-        let align = layout.config().function_align;
-        let splicable = prev.is_some_and(|p| {
-            align != 0 && align.is_multiple_of(CACHE_LINE_BYTES) && p.align == align
-        });
-        let Some(prev) = splicable.then_some(prev).flatten() else {
-            return FetchPlan::build(program, layout, table);
-        };
-        // Per-function id delta, for functions whose cached span splices.
-        let mut delta: Vec<Option<u32>> = vec![None; program.num_functions()];
-        for func in program.functions() {
-            let f = func.id().index();
-            let Some(&first) = func.blocks().first() else {
-                continue;
-            };
-            if prev.func_sig.get(f) != Some(&function_signature(layout, func.blocks()))
-                || prev.func_start[f] == LineId::INVALID.get()
-            {
-                continue;
-            }
-            let new_start = table
-                .lookup(layout.block_addr(first).line())
-                .expect("every block line is interned by its layout's table")
-                .get();
-            delta[f] = Some(new_start.wrapping_sub(prev.func_start[f]));
-        }
-        let n = program.num_blocks();
-        let mut ids = Vec::with_capacity(prev.plan.ids.len());
-        let mut bounds = Vec::with_capacity(n + 1);
-        bounds.push(0u32);
-        for block in program.blocks() {
-            match delta[block.func().index()] {
-                Some(d) => {
-                    for &id in prev.plan.lines_of(block.id()) {
-                        ids.push(LineId(id.get().wrapping_add(d)));
-                    }
-                }
-                None => {
-                    for line in layout.lines_of_block(block.id()) {
-                        let id = table
-                            .lookup(line)
-                            .expect("every block line is interned by its layout's table");
-                        ids.push(id);
-                    }
-                }
-            }
-            let end = u32::try_from(ids.len()).expect("fetch plan exceeds u32 entries");
-            bounds.push(end);
-        }
-        FetchPlan { ids, bounds }
-    }
-
     /// The interned lines of `block`, in fetch order.
     #[inline]
     pub fn lines_of(&self, block: BlockId) -> &[LineId] {
         let i = block.index();
         &self.ids[self.bounds[i] as usize..self.bounds[i + 1] as usize]
-    }
-}
-
-/// FNV-1a over a function's block-size sequence under one layout. Two
-/// functions with equal signatures (and cache-line-multiple alignment)
-/// occupy identical lines relative to their aligned start addresses.
-fn function_signature(layout: &Layout, blocks: &[BlockId]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in blocks {
-        let mut v = layout.block_size(b);
-        for _ in 0..4 {
-            h ^= u64::from(v & 0xff);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            v >>= 8;
-        }
-    }
-    h
-}
-
-/// Reusable per-layout interning artifacts, extracted from one session and
-/// fed to the next (see [`SimSession::plan_cache`](crate::SimSession)):
-/// the [`LineTable`], the [`FetchPlan`], and a per-function layout hash
-/// keying which functions' id spans can be spliced instead of rebuilt.
-///
-/// The fixpoint loop of Ripple's evaluation re-links the program every
-/// round; between rounds only the functions whose injected prefixes
-/// changed move lines relative to their starts, so successive sessions
-/// rebuild only those.
-#[derive(Debug, Clone)]
-pub struct PlanCache {
-    plan: FetchPlan,
-    /// FNV-1a of each function's block-size sequence.
-    func_sig: Vec<u64>,
-    /// Raw id of the line holding each function's first block
-    /// ([`LineId::INVALID`] for functions without blocks).
-    func_start: Vec<u32>,
-    /// `function_align` of the layout this cache was built from.
-    align: u64,
-}
-
-impl PlanCache {
-    /// Captures the reusable artifacts of `(program, layout, table, plan)`.
-    pub(crate) fn capture(
-        program: &Program,
-        layout: &Layout,
-        table: &LineTable,
-        plan: &FetchPlan,
-    ) -> Self {
-        let nf = program.num_functions();
-        let mut func_sig = Vec::with_capacity(nf);
-        let mut func_start = Vec::with_capacity(nf);
-        for func in program.functions() {
-            func_sig.push(function_signature(layout, func.blocks()));
-            let start = func
-                .blocks()
-                .first()
-                .and_then(|&b| table.lookup(layout.block_addr(b).line()))
-                .map_or(LineId::INVALID.get(), LineId::get);
-            func_start.push(start);
-        }
-        PlanCache {
-            plan: plan.clone(),
-            func_sig,
-            func_start,
-            align: layout.config().function_align,
-        }
     }
 }
 
@@ -421,7 +261,7 @@ mod tests {
     #[test]
     fn empty_layout_interns_nothing() {
         let table = LineTable { first: 0, len: 0 };
-        assert!(table.is_empty());
+        assert_eq!(table.len(), 0);
         assert_eq!(table.lookup(LineAddr::new(0)), None);
     }
 }

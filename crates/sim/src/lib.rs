@@ -14,9 +14,9 @@
 //!   simulated L2/L3 (Table II latencies);
 //! * the `invalidate` instruction Ripple injects (invalidate or
 //!   LRU-demote semantics);
-//! * a dense per-layout line interner ([`LineTable`] / [`LineId`]) and
-//!   precomputed block→lines [`FetchPlan`] — the one path through the
-//!   simulator's hot loops. The pre-interning frontend survives only as an
+//! * a dense per-layout line interner ([`LineId`]) and a precomputed
+//!   block→lines fetch plan — the one path through the simulator's hot
+//!   loops. The pre-interning frontend survives only as an
 //!   equivalence oracle in the `ripple-check` crate, so this crate carries
 //!   one implementation per concept.
 //!
@@ -50,7 +50,7 @@ pub use engine::{
     baseline_and_ideal, ideal_policy_for, simulate, simulate_ideal_cache, simulate_with_sink,
     SimSession,
 };
-pub use intern::{FetchPlan, LineId, LineTable, PlanCache};
+pub use intern::LineId;
 pub use policy::registry::PolicyKind;
 pub use policy::{
     build_ideal_policy, build_policy, AccessInfo, DemandMinPolicy, DrripPolicy, FutureIndex,

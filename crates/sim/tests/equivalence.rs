@@ -2,14 +2,12 @@
 //! routes.
 //!
 //! An online policy either runs the single-pass frontend or, once its
-//! session holds a captured request stream, replays that capture; and a
-//! session may build its fetch plan from scratch or splice it from a
-//! previous round's [`PlanCache`](ripple_sim::PlanCache). Every route must
-//! produce identical [`SimStats`](ripple_sim::SimStats) *and* an identical
-//! eviction-event stream. (Equivalence against the pre-interning reference
+//! session holds a captured request stream, replays that capture. Both
+//! routes must produce identical [`SimStats`](ripple_sim::SimStats) *and*
+//! an identical eviction-event stream. (Equivalence against the pre-interning reference
 //! frontend lives with that oracle in `ripple-check`.)
 
-use ripple_program::{rewrite, BlockId, CodeLoc, Injection, InjectionPlan, Layout, LayoutConfig};
+use ripple_program::{Layout, LayoutConfig};
 use ripple_sim::{CacheGeometry, PolicyKind, PrefetcherKind, SimConfig, SimSession, VecSink};
 use ripple_workloads::{execute, generate, AppSpec, InputConfig};
 
@@ -64,58 +62,5 @@ fn replayed_policies_match_fresh_single_pass_runs() {
             1,
             "all replays must share the one capture"
         );
-    }
-}
-
-#[test]
-fn spliced_fetch_plans_match_full_builds_after_rewrite() {
-    // Incremental relinking reuses a previous round's per-function line
-    // lists for functions whose block-size signature is unchanged. The
-    // spliced plan must equal a from-scratch build on the rewritten
-    // layout, and a session constructed from the cache must be
-    // byte-identical to one built fresh.
-    use ripple_sim::{FetchPlan, LineTable};
-
-    let app = generate(&AppSpec::tiny(23));
-    let base_layout = Layout::new(&app.program, &LayoutConfig::default());
-    let trace = execute(&app.program, &app.model, InputConfig::training(23), 30_000);
-    let cfg = small_cfg(PrefetcherKind::NextLine);
-
-    let base_session = SimSession::new(&app.program, &base_layout, &trace, cfg.clone());
-    let cache = base_session.plan_cache();
-
-    // Dirty a handful of functions with injected invalidate prefixes; the
-    // rest must be spliced, shifted by each function's start-line delta.
-    let n = app.program.num_blocks() as u32;
-    let mut plan = InjectionPlan::new();
-    for i in 0..n.min(5) {
-        plan.push(Injection {
-            cue: BlockId::new((i * 2) % n),
-            victim: CodeLoc::new(BlockId::new((i + 3) % n), 0),
-        });
-    }
-    let rewritten = rewrite(&app.program, &base_layout, &plan);
-
-    let table = LineTable::build(&rewritten.layout);
-    let full = FetchPlan::build(&rewritten.program, &rewritten.layout, &table);
-    let spliced =
-        FetchPlan::build_cached(&rewritten.program, &rewritten.layout, &table, Some(&cache));
-    assert_eq!(full, spliced, "spliced plan diverged from full build");
-
-    for policy in [PolicyKind::LRU, PolicyKind::DEMAND_MIN] {
-        let fresh = SimSession::new(&rewritten.program, &rewritten.layout, &trace, cfg.clone());
-        let cached = SimSession::new_cached(
-            &rewritten.program,
-            &rewritten.layout,
-            &trace,
-            cfg.clone(),
-            Some(&cache),
-        );
-        let mut fresh_sink = VecSink::new();
-        let mut cached_sink = VecSink::new();
-        let fresh_stats = fresh.run_with_sink(policy, &mut fresh_sink);
-        let cached_stats = cached.run_with_sink(policy, &mut cached_sink);
-        assert_eq!(fresh_stats, cached_stats, "{} diverged", policy.name());
-        assert_eq!(fresh_sink.into_events(), cached_sink.into_events());
     }
 }
